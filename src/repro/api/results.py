@@ -12,7 +12,9 @@ sweep front-end used to reimplement ad hoc — ``filter``, ``group_by``,
 Records built by a study keep the full :class:`NetworkEvaluation` (and
 the evaluated config) for deep inspection; records rebuilt from
 serialized rows carry tags and metrics only — every ResultSet verb works
-on both.
+on both.  A study builds each point's record once: the records it
+streams through ``Study.run(on_record=...)`` are the very objects of
+its final :class:`ResultSet`.
 
 A study run under a non-fail-stop
 :class:`~repro.engine.executor.FailurePolicy` can return *partial*
@@ -67,7 +69,15 @@ METRIC_NAMES: Tuple[str, ...] = (
 @dataclass(frozen=True)
 class Record:
     """One evaluated study point: coordinates, metrics, and (when fresh)
-    the full evaluation object."""
+    the full evaluation object.
+
+    The metrics are read from the evaluation's network totals.  An
+    ``evaluation`` rebuilt from its stored form (a cache hit, or the
+    pooled path's assembly) decodes its per-layer breakdown
+    (``.layers``) on first access; building the record never does.
+    Under ``Study.run(on_record=...)`` the streamed record is this same
+    object, not a copy.
+    """
 
     tags: Dict[str, Any]
     metrics: Dict[str, float]

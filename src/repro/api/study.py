@@ -82,8 +82,8 @@ TransformFn = Callable[[Any, "StudyPoint"], Any]
 #: study point the moment its result is assembled (completion order —
 #: cache hits first, then whatever finishes next), with ``done`` the
 #: number of completed points so far out of ``total``.  ``record`` is
-#: the same :class:`~repro.api.results.Record` (or
-#: :class:`~repro.api.results.FailedRecord`) the final
+#: the very :class:`~repro.api.results.Record` (or
+#: :class:`~repro.api.results.FailedRecord`) object the final
 #: :class:`~repro.api.results.ResultSet` will hold.  An exception
 #: raised by the callback aborts the run — the cancellation lever
 #: long-running callers (e.g. :mod:`repro.service`) rely on.
@@ -454,52 +454,41 @@ class Study:
         evaluation service uses to stream NDJSON records and the CLI
         uses for ``--progress`` lines.
         """
+        engine = dict(workers=workers, cache=cache, progress=progress,
+                      plan=plan, pool=pool, failure_policy=failure_policy,
+                      inject=inject)
         if trace is None or trace is False:
-            jobs = self.compile()
-            evaluations = run_jobs(jobs, workers=workers, cache=cache,
-                                   progress=progress, plan=plan, pool=pool,
-                                   failure_policy=failure_policy,
-                                   inject=inject,
-                                   on_record=self._stream_adapter(
-                                       jobs, on_record))
-            return ResultSet(
-                self._record(job, evaluation)
-                for job, evaluation in zip(jobs, evaluations))
+            return ResultSet(self._execute(self.compile(), on_record,
+                                           engine))
         tracer = trace if isinstance(trace, obs.Tracer) else obs.Tracer()
         with obs.tracing(tracer):
             with obs.span("study.compile", study=self.name):
                 jobs = self.compile()
-            evaluations = run_jobs(jobs, workers=workers, cache=cache,
-                                   progress=progress, plan=plan, pool=pool,
-                                   failure_policy=failure_policy,
-                                   inject=inject,
-                                   on_record=self._stream_adapter(
-                                       jobs, on_record))
+            records = self._execute(jobs, on_record, engine)
         collected = tracer.trace()
         if isinstance(trace, str):
             collected.save(trace)
-        return ResultSet(
-            (self._record(job, evaluation)
-             for job, evaluation in zip(jobs, evaluations)),
-            trace=collected)
+        return ResultSet(records, trace=collected)
 
-    def _stream_adapter(self, jobs: Sequence[EvaluationJob],
-                        on_record: Optional[RecordFn]):
-        """The engine-level ``on_record`` callback wrapping a study-level
-        :data:`RecordFn`: turns each ``(index, job, outcome)`` completion
-        into the same :class:`Record` the final result set will hold and
-        counts completions (``None`` passes straight through, keeping
-        the un-streamed path zero-cost)."""
-        if on_record is None:
-            return None
-        total = len(jobs)
-        completed = [0]
+    def _execute(self, jobs: Sequence[EvaluationJob],
+                 on_record: Optional[RecordFn],
+                 engine: Dict[str, Any]) -> List[Record]:
+        """Run ``jobs`` through the engine and return their records in
+        job order.  Each record is built once, the moment its outcome
+        is assembled, and that same object is streamed to ``on_record``
+        and kept for the result set."""
+        records: List[Any] = [None] * len(jobs)
+        done = 0
 
-        def emit(index: int, job: EvaluationJob, outcome: Any) -> None:
-            completed[0] += 1
-            on_record(self._record(job, outcome), completed[0], total)
+        def collect(index: int, job: EvaluationJob, outcome: Any) -> None:
+            nonlocal done
+            records[index] = self._record(job, outcome)
+            done += 1
+            if on_record is not None:
+                on_record(records[index], done, len(jobs))
 
-        return emit
+        run_jobs(jobs, on_record=collect, **engine)
+        return records
 
     @staticmethod
     def _record(job: EvaluationJob, evaluation: Any) -> Record:

@@ -20,15 +20,17 @@ canonical-JSON content hashing the cache keys on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, Dict, Mapping as TMapping
+from typing import Any, Dict, Mapping as TMapping, Sequence, Tuple
 
 from repro.energy.scaling import ScalingScenario
 from repro.model.results import (
     EnergyBreakdown,
     LayerEvaluation,
     NetworkEvaluation,
+    NetworkTotals,
 )
 from repro.workloads.dataspace import DataSpace
 from repro.workloads.layer import ConvLayer
@@ -189,15 +191,9 @@ def energy_to_list(energy: EnergyBreakdown) -> list:
 #: map resolves the same lookup in one dict probe.
 _DATASPACE_BY_VALUE = {member.value: member for member in DataSpace}
 
-#: Content-keyed memo of decoded entry dicts.  The planner's alias
-#: derivation copies layer entries per name, so a big sweep decodes the
-#: same energy rows once per alias; memoizing the *entries dict* (not
-#: the breakdown) keeps every returned EnergyBreakdown an independent,
-#: mutable object — its constructor copies the dict.
-_ENERGY_MEMO: Dict[tuple, dict] = {}
-
 
 def _decode_energy_rows(rows: list) -> dict:
+    """The entries dict of a triple list (repeated keys sum in order)."""
     entries = {}
     for component, dataspace, value in rows:
         if dataspace is not None:
@@ -206,25 +202,13 @@ def _decode_energy_rows(rows: list) -> dict:
                 else DataSpace(dataspace)
         key = (component if type(component) is str else str(component),
                dataspace)
-        # ``0.0 +`` mirrors the pre-memo accumulator exactly (a -0.0
-        # value decodes to 0.0 either way).
         entries[key] = entries.get(key, 0.0) + float(value)
     return entries
 
 
 def energy_from_list(rows: list) -> EnergyBreakdown:
     """Rebuild an energy breakdown from its triple list."""
-    try:
-        memo_key = tuple(map(tuple, rows))
-        entries = _ENERGY_MEMO.get(memo_key)
-    except (TypeError, ValueError):  # unhashable/malformed: decode directly
-        return EnergyBreakdown(_decode_energy_rows(rows))
-    if entries is None:
-        entries = _decode_energy_rows(rows)
-        if len(_ENERGY_MEMO) >= _MEMO_LIMIT:
-            _ENERGY_MEMO.clear()
-        _ENERGY_MEMO[memo_key] = entries
-    return EnergyBreakdown(entries)
+    return EnergyBreakdown(_decode_energy_rows(rows))
 
 
 def layer_evaluation_to_dict(evaluation: LayerEvaluation) -> Dict[str, Any]:
@@ -276,16 +260,43 @@ def network_evaluation_to_dict(
     }
 
 
+def _layer_evaluations(
+        layer_specs: Sequence[Tuple[TMapping[str, Any], int]],
+) -> Tuple[Tuple[LayerEvaluation, int], ...]:
+    return tuple((layer_evaluation_from_dict(layer_spec), count)
+                 for layer_spec, count in layer_specs)
+
+
 def network_evaluation_from_dict(
         spec: TMapping[str, Any]) -> NetworkEvaluation:
-    """Rebuild a network evaluation from its dict form."""
-    layers = tuple(
-        (layer_evaluation_from_dict(layer_spec), int(count))
-        for layer_spec, count in spec["layers"]
-    )
-    return NetworkEvaluation(
+    """Rebuild a network evaluation from its dict form.
+
+    The totals are summed straight from each layer dict's energy rows,
+    cycles and MACs, bit-identical to summing the decoded layers.  The
+    :class:`~repro.model.results.LayerEvaluation` objects are built only
+    when ``layers`` is first read; records and reports never need them.
+    """
+    layer_specs = tuple((layer_spec, int(count))
+                        for layer_spec, count in spec["layers"])
+    # Layers often share one rows list (the planner's aliases copy layer
+    # entries shallowly): decode each list once.  ``layer_specs`` keeps
+    # every list alive, so its id is a sound key for this call.
+    decoded: Dict[int, dict] = {}
+
+    def entries_of(layer_spec: TMapping[str, Any]) -> dict:
+        rows = layer_spec["energy"]
+        entries = decoded.get(id(rows))
+        if entries is None:
+            entries = decoded[id(rows)] = _decode_energy_rows(rows)
+        return entries
+
+    totals = NetworkTotals.of(
+        (entries_of(layer_spec), int(layer_spec["cycles"]),
+         int(layer_spec["real_macs"]), count)
+        for layer_spec, count in layer_specs)
+    return NetworkEvaluation.lazy(
         name=str(spec["name"]),
-        layers=layers,
         clock_ghz=float(spec["clock_ghz"]),
         peak_parallelism=int(spec["peak_parallelism"]),
-    )
+        totals=totals,
+        load_layers=functools.partial(_layer_evaluations, layer_specs))

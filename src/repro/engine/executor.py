@@ -15,8 +15,11 @@ whole batch and against the cache — and phase 1 executes those over the
 pool in configuration-affine chunks (one system build per chunk, one
 result message per chunk).  Phase 2 then assembles every
 :class:`~repro.model.results.NetworkEvaluation` in the parent from the
-now-warm cache, which is pure lookups.  ``plan=False`` forces the
-pre-planner behavior: each miss job evaluated whole by one worker.
+now-warm cache: each job's result dict embeds its cached layer dicts
+verbatim, and decoding it sums only the network totals — the per-layer
+objects are built only if a caller reads ``layers``.  ``plan=False``
+forces the pre-planner behavior: each miss job evaluated whole by one
+worker.
 
 Worker processes are seeded with a snapshot of the parent's cache, so
 mapper results already on disk are reused everywhere; entries a worker
@@ -37,8 +40,6 @@ tracer and the worker messages carry no extra payload.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import sys
 import time
 from typing import (
     Any,
@@ -60,7 +61,11 @@ from repro.engine.codec import (
 )
 from repro.engine.jobs import EvaluationJob, job_system_key, system_registry
 from repro.engine.planner import SweepPlan, build_plan
-from repro.engine.pool import WorkerPool
+from repro.engine.pool import (
+    WorkerPool,
+    default_signal_handlers,
+    pool_context,
+)
 from repro.model.results import (
     EnergyBreakdown,
     NetworkEvaluation,
@@ -241,8 +246,9 @@ _WORKER_CACHE: Optional[EvaluationCache] = None
 
 def _init_worker(snapshot: Optional[Dict[str, Dict[str, Any]]],
                  obs_config=None) -> None:
-    """Pool initializer: seed the worker cache and (when the parent is
-    tracing) open a trace lane on the parent's timeline.
+    """Pool initializer: restore default signal handling, seed the
+    worker cache and (when the parent is tracing) open a trace lane on
+    the parent's timeline.
 
     With the fork start method the worker inherits the parent's active
     tracer object — including already-recorded events — so tracing is
@@ -251,6 +257,7 @@ def _init_worker(snapshot: Optional[Dict[str, Dict[str, Any]]],
     the inherited copy, which would double-report the parent's events).
     """
     global _WORKER_CACHE
+    default_signal_handlers()
     _WORKER_CACHE = (EvaluationCache.from_snapshot(snapshot)
                      if snapshot is not None else None)
     if obs_config is not None:
@@ -305,16 +312,6 @@ def _run_job_in_worker(payload):
         added, stats = {}, {}
     return (index, result_dict, added, stats, _drain_worker_trace(),
             failure)
-
-
-def _pool_context():
-    """Fork where available (cheap, inherits sys.path); spawn elsewhere."""
-    if sys.platform != "win32":
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover
-            pass
-    return multiprocessing.get_context()  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -807,10 +804,20 @@ def _run_whole_jobs(
     round_failures: Optional[Dict[int, Tuple[str, str]]] = None,
     on_record: Optional[OnRecordFn] = None,
 ) -> int:
-    """The pre-planner parallel path: one whole job per worker message."""
+    """The pre-planner parallel path: one whole job per worker task.
+
+    However the dispatch ends (finished, a fail-stop job error, a
+    raising callback, an interrupt), the executor cancels the jobs that
+    have not started and waits for the ones in flight.  No worker is
+    killed mid-reply, which could leave the result channel locked and
+    the shutdown waiting on it for ever.
+    """
+    # Imported here: only this path needs it, and it would add its own
+    # imports (logging among them) to every process's start-up.
+    import concurrent.futures
+
     tracer = obs.current_tracer()
     with obs.span("executor.wholejob", jobs=len(misses), workers=workers):
-        context = _pool_context()
         # Workers only read the mapper/layer namespaces (the parent
         # already resolved whole-job hits), so don't ship them the
         # possibly large results namespace.
@@ -819,18 +826,19 @@ def _run_whole_jobs(
             with obs.span("executor.snapshot"):
                 snapshot = cache.snapshot()
                 snapshot["results"] = {}
-        pool_size = min(workers, len(misses))
         obs_config = tracer.worker_config() if tracer.enabled else None
-        with obs.span("executor.pool_spawn", workers=pool_size):
-            pool = context.Pool(pool_size, initializer=_init_worker,
-                                initargs=(snapshot, obs_config))
+        executor = concurrent.futures.ProcessPoolExecutor(
+            min(workers, len(misses)), mp_context=pool_context(),
+            initializer=_init_worker, initargs=(snapshot, obs_config))
         try:
-            payloads = [(index, jobs[index], guard, attempt)
-                        for index in misses]
-            with obs.span("executor.dispatch", jobs=len(payloads)):
-                for index, result_dict, added, stats, events, failure in \
-                        pool.imap_unordered(_run_job_in_worker, payloads,
-                                            chunksize=1):
+            with obs.span("executor.dispatch", jobs=len(misses)):
+                futures = [executor.submit(_run_job_in_worker,
+                                           (index, jobs[index], guard,
+                                            attempt))
+                           for index in misses]
+                for future in concurrent.futures.as_completed(futures):
+                    index, result_dict, added, stats, events, failure = \
+                        future.result()
                     with obs.span("executor.merge"):
                         if cache is not None:
                             # ``added`` already contains the job's result
@@ -854,15 +862,6 @@ def _run_whole_jobs(
                         on_record(index, jobs[index], results[index])
                     if progress is not None:
                         progress(done, total, jobs[index])
-        except BaseException:
-            # A half-finished dispatch leaves workers in an unknown
-            # state; kill them rather than let close() wait on them.
-            pool.terminate()
-            pool.join()
-            raise
-        else:
-            # Clean finish: let the workers exit normally instead of
-            # SIGTERMing processes that are quietly idle.
-            pool.close()
-            pool.join()
+        finally:
+            executor.shutdown(wait=True, cancel_futures=True)
     return done

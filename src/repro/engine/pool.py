@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import sys
 from array import array
 from dataclasses import dataclass
@@ -249,11 +250,22 @@ def _seed_cache(seed: Optional[tuple]) -> Optional[EvaluationCache]:
     return EvaluationCache.from_snapshot(body)
 
 
+def default_signal_handlers() -> None:
+    """Give a forked worker the interpreter's own SIGTERM and SIGINT
+    handling.  Workers inherit the parent's handlers; a daemon's drain
+    handler would make them survive the SIGTERM of ``terminate()``, so
+    closing the pool would wait on them for ever."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+
+
 def _init_pool_worker(seed: Optional[tuple],
                       marker: Optional[_Marker], token: int) -> None:
-    """Pool initializer: seed the floor snapshot, silence inherited
-    tracing (payloads re-activate it per dispatch as needed)."""
+    """Pool initializer: restore default signal handling, seed the floor
+    snapshot, silence inherited tracing (payloads re-activate it per
+    dispatch as needed)."""
     global _WORKER_CACHE, _WORKER_MARK, _WORKER_TOKEN, _WORKER_OBS
+    default_signal_handlers()
     _WORKER_CACHE = _seed_cache(seed)
     _WORKER_MARK = marker
     _WORKER_TOKEN = token
@@ -383,7 +395,7 @@ def _run_wire_batch(payload):
             os.getpid(), _WORKER_MARK, failed)
 
 
-def _pool_context():
+def pool_context():
     """Fork where available (cheap, inherits warm module state)."""
     if sys.platform != "win32":
         try:
@@ -504,13 +516,25 @@ class WorkerPool:
         self.close()
 
     def close(self) -> None:
-        """Terminate and join the workers (idempotent).
+        """Stop the workers and wait for them to exit (idempotent).
 
-        The pool object remains usable: the next dispatch respawns with
-        a fresh snapshot floor.
+        Outside a dispatch every worker is idle, so each one exits on the
+        pool's end-of-work sentinel.  Signalling them instead could catch
+        a worker that has sent its last reply but not yet released the
+        result queue's lock, and the pool's shutdown would then wait on
+        that lock for ever.  The pool object remains usable: the next
+        dispatch respawns with a fresh snapshot floor.
         """
+        self._shut_down(kill=False)
+
+    def _shut_down(self, kill: bool) -> None:
+        """Join the workers; ``kill`` terminates them first (a dispatch
+        was cut short and some may never finish their task)."""
         if self._pool is not None:
-            self._pool.terminate()
+            if kill:
+                self._pool.terminate()
+            else:
+                self._pool.close()
             self._pool.join()
             self._pool = None
             self._pool_size = 0
@@ -550,7 +574,7 @@ class WorkerPool:
         else:
             seed, marker = None, None
         with obs.span("executor.pool_spawn", workers=size):
-            self._pool = _pool_context().Pool(
+            self._pool = pool_context().Pool(
                 size, initializer=_init_pool_worker,
                 initargs=(seed, marker, self._token))
         self._pool_size = size
@@ -744,9 +768,9 @@ class WorkerPool:
                         f"crash-inducing task")
                 with obs.span("pool.respawn", round=respawns,
                               pending=len(pending)):
-                    self.close()
+                    self._shut_down(kill=True)
         except BaseException:
             # A half-finished dispatch leaves workers in an unknown
             # state; kill them rather than risk stale answers later.
-            self.close()
+            self._shut_down(kill=True)
             raise

@@ -3,7 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping as TMapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.model.buckets import BucketScheme
 from repro.units import format_count, format_energy
@@ -158,35 +169,103 @@ class LayerEvaluation:
         )
 
 
+#: One layer's contribution to the network totals: its energy entries,
+#: cycles, real MACs and repetition count.
+LayerTotals = Tuple[TMapping[EnergyKey, float], int, int, int]
+
+
+class NetworkTotals(NamedTuple):
+    """Whole-network sums: energy per key, total energy, cycles, MACs."""
+
+    energy: Dict[EnergyKey, float]
+    energy_pj: float
+    cycles: int
+    macs: int
+
+    @classmethod
+    def of(cls, layers: Iterable[LayerTotals]) -> "NetworkTotals":
+        """Sum the layers in one pass.
+
+        Each key accumulates ``value * count`` layer by layer, in each
+        layer's entry order: exactly the sum of the layers'
+        ``energy.scaled(count)`` breakdowns.  Float addition is not
+        associative, so every form of an evaluation (objects or dicts)
+        must sum in this one order to stay bit-identical.
+        """
+        energy: Dict[EnergyKey, float] = {}
+        cycles = macs = 0
+        for entries, layer_cycles, layer_macs, count in layers:
+            for key, value in entries.items():
+                energy[key] = energy.get(key, 0.0) + value * count
+            cycles += layer_cycles * count
+            macs += layer_macs * count
+        return cls(energy, sum(energy.values()), cycles, macs)
+
+
 @dataclass(frozen=True)
 class NetworkEvaluation:
-    """Aggregate of per-layer evaluations over a whole network."""
+    """Aggregate of per-layer evaluations over a whole network.
+
+    The totals (energy breakdown, cycles, MACs) are summed in one pass the
+    first time any of them is read, then kept: layer evaluations do not
+    change once evaluated.  An evaluation made by :meth:`lazy` starts
+    with its totals and builds ``layers`` only when it is first read.
+    """
 
     name: str
     layers: Tuple[Tuple[LayerEvaluation, int], ...]
     clock_ghz: float
     peak_parallelism: int
 
+    @classmethod
+    def lazy(cls, name: str, clock_ghz: float, peak_parallelism: int,
+             totals: NetworkTotals,
+             load_layers: Callable[
+                 [], Tuple[Tuple[LayerEvaluation, int], ...]],
+             ) -> "NetworkEvaluation":
+        """An evaluation whose ``layers`` come from ``load_layers()`` on
+        first read; ``totals`` must be what those layers sum to."""
+        evaluation = cls.__new__(cls)
+        evaluation.__dict__.update(
+            name=name, clock_ghz=clock_ghz,
+            peak_parallelism=peak_parallelism,
+            _totals=totals, _load_layers=load_layers)
+        return evaluation
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for attributes the instance lacks: ``layers`` of a
+        # lazy evaluation before its first read.
+        load = self.__dict__.get("_load_layers") if name == "layers" \
+            else None
+        if load is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        layers = self.__dict__["layers"] = tuple(load())
+        self.__dict__.pop("_load_layers", None)
+        return layers
+
+    @cached_property
+    def _totals(self) -> NetworkTotals:
+        return NetworkTotals.of(
+            (evaluation.energy._entries, evaluation.cycles,
+             evaluation.real_macs, count)
+            for evaluation, count in self.layers)
+
     @property
     def total_energy(self) -> EnergyBreakdown:
-        total = EnergyBreakdown()
-        for evaluation, count in self.layers:
-            total = total + evaluation.energy.scaled(count)
-        return total
+        return EnergyBreakdown(self._totals.energy)
 
     @property
     def total_cycles(self) -> int:
-        return sum(evaluation.cycles * count
-                   for evaluation, count in self.layers)
+        return self._totals.cycles
 
     @property
     def total_macs(self) -> int:
-        return sum(evaluation.real_macs * count
-                   for evaluation, count in self.layers)
+        return self._totals.macs
 
     @property
     def energy_pj(self) -> float:
-        return self.total_energy.total_pj
+        return self._totals.energy_pj
 
     @property
     def energy_per_mac_pj(self) -> float:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -645,6 +646,46 @@ class TestFailurePaths:
             run_jobs(jobs, workers=2, cache=EvaluationCache(), plan=False)
         with pytest.raises(ValueError, match="injected failure"):
             run_jobs(jobs, workers=2, plan=False)  # cache-less path too
+
+    def test_whole_job_failure_never_hangs(self):
+        """The fail-stop whole-job path, 20 times with more workers than
+        cores (up to four cores): every run raises the injected error and
+        leaves no worker alive.  A worker killed mid-reply can leave the result channel
+        locked and wedge the shutdown under load; the timeout turns such
+        a hang into a failure."""
+        script = textwrap.dedent("""\
+            import multiprocessing, os, sys
+            sys.path.insert(0, "src")
+            from repro.engine import make_job, run_jobs
+            from repro.engine.faults import InjectedFault
+            from repro.systems import AlbireoConfig, CrossbarConfig
+            from repro.workloads import tiny_cnn
+
+            workers = min(os.cpu_count() or 1, 4) + 2
+            configs = (AlbireoConfig, CrossbarConfig)
+            jobs = [make_job(tiny_cnn(),
+                             configs[index % 2](clock_ghz=3.0 + index / 8))
+                    for index in range(workers + 2)]
+            inject = [{"match": "crossbar:*:job", "action": "raise",
+                       "attempt": -1}]
+            for run in range(20):
+                try:
+                    run_jobs(jobs, workers=workers, plan=False,
+                             inject=inject)
+                except InjectedFault:
+                    pass
+                else:
+                    sys.exit(f"run {run}: no error raised")
+                if multiprocessing.active_children():
+                    sys.exit(f"run {run}: workers left alive")
+            print("ok")
+            """)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120,
+            cwd=str(__import__("pathlib").Path(__file__).parent.parent))
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "ok"
 
     def test_serial_error_propagates(self, small_network, failing_system):
         with pytest.raises(ValueError, match="injected failure"):

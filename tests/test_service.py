@@ -45,6 +45,16 @@ BOOM_SPEC = {
     "grid": {"global_buffer_kib": [1]},
 }
 
+#: The 256 KiB points fail at run time; on a ``--workers 2`` daemon the
+#: error surfaces from the pooled two-phase path.
+POOLED_FAILURE_SPEC = {
+    "name": "svc-pooled-failure",
+    "systems": ["albireo", "crossbar", "wdm_delay"],
+    "networks": ["resnet18", "alexnet", "lenet5"],
+    "grid": {"clock_ghz": [3.1, 3.2],
+             "global_buffer_kib": [256, 1024, 2048]},
+}
+
 
 @pytest.fixture
 def service(tmp_path):
@@ -542,6 +552,37 @@ class TestDaemonProcess:
             assert kinds[-1] == "done"
             assert sum(kind == "record" for kind in kinds) == len(
                 Study.from_dict(SPEC).compile())
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.stdout.close()
+            process.stderr.close()
+
+    def test_failing_point_fails_the_job_and_frees_the_queue(self,
+                                                             tmp_path):
+        """Pool workers fork after the daemon installs its drain handler.
+        Keeping that handler, they would survive the pool's SIGTERM: the
+        failing job would stay ``running`` and every later submit would
+        queue behind it."""
+        process, url = self._spawn(tmp_path, "--workers", "2")
+
+        def final_status(handle, timeout=30.0):
+            deadline = time.monotonic() + timeout
+            while True:
+                status = handle.status()["status"]
+                if status in (protocol.DONE, protocol.FAILED,
+                              protocol.CANCELLED) \
+                        or time.monotonic() > deadline:
+                    return status
+                time.sleep(0.05)
+
+        try:
+            client = ServiceClient(url, timeout=30.0)
+            failing = client.submit(dict(POOLED_FAILURE_SPEC))
+            assert final_status(failing) == protocol.FAILED
+            assert final_status(client.submit(dict(SPEC))) == protocol.DONE
+            process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
             if process.poll() is None:
