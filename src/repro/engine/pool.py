@@ -7,8 +7,12 @@ path in three ways:
 * **Warm per-worker state.**  With the fork start method each worker
   keeps its module-level caches between dispatches — the memoized
   architecture/energy-table builds (``PhotonicSystem.build_cached``), the
-  ``SearchContext`` FIFO, and its copy of the evaluation cache — so a
-  second dispatch pays none of the first one's warm-up.
+  ``SearchContext`` FIFO, the mapper's process-wide fill-event and
+  tile-size tables, and its copy of the evaluation cache — so a second
+  dispatch pays none of the first one's warm-up.  Each worker freezes
+  (``gc.freeze()``) the heap it inherits at fork once its initializer
+  has run, so the collector's full passes scan only what the worker
+  itself allocates.
 
 * **Delta cache sync instead of full snapshots.**  The first dispatch
   (at spawn) ships the cache image once, stamped with the cache's
@@ -59,6 +63,7 @@ recoveries.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -263,7 +268,8 @@ def _init_pool_worker(seed: Optional[tuple],
                       marker: Optional[_Marker], token: int) -> None:
     """Pool initializer: restore default signal handling, seed the floor
     snapshot, silence inherited tracing (payloads re-activate it per
-    dispatch as needed)."""
+    dispatch as needed), then freeze the heap inherited at fork so later
+    full collections never rescan it."""
     global _WORKER_CACHE, _WORKER_MARK, _WORKER_TOKEN, _WORKER_OBS
     default_signal_handlers()
     _WORKER_CACHE = _seed_cache(seed)
@@ -271,6 +277,7 @@ def _init_pool_worker(seed: Optional[tuple],
     _WORKER_TOKEN = token
     _WORKER_OBS = None
     obs.deactivate()
+    gc.freeze()
 
 
 def _sync_tracing(config: Optional[Tuple[float, int]]) -> None:

@@ -52,7 +52,9 @@ hoisted into a shared :class:`SearchContext`:
 * **memo tables** for fill events (keyed by the loop-above signature) and
   tile sizes (keyed by cumulative bounds), shared across every candidate of
   a search — most candidates differ in only one or two levels, so these hit
-  constantly;
+  constantly.  Neither reads the architecture, so they are process-wide:
+  one fill-event table, and one tile-size table per stride pair, serve
+  every configuration;
 * a **validate-once protocol**: :class:`Mapper` validates each candidate
   exactly once and constructs the analyzer with ``validate=False``, removing
   the duplicate :meth:`Mapping.validate` the constructor used to run;
@@ -203,11 +205,21 @@ def _fill_events(loops_above_innermost_first: Sequence[TemporalLoop],
 #: Plan-record kind tags (cheaper to branch on than isinstance in the walk).
 _KIND_STORAGE, _KIND_FANOUT, _KIND_CONVERTER = 0, 1, 2
 
-#: Per-memo entry cap inside a SearchContext.  Contexts are cached for the
-#: process lifetime, so without a bound the tile/fill/amortization memos
-#: would grow monotonically across searches; past the cap a memo simply
+#: Entry cap per memo table.  The fill-event and tile-size tables are
+#: process-wide and shared by every context (and contexts, with their
+#: amortization memos, are cached too), so without a bound the tables
+#: would grow monotonically across searches; past the cap a table simply
 #: resets (correctness is unaffected — entries are pure functions).
 _MEMO_LIMIT = 1 << 17
+
+#: (loops-above signature, dataspace) -> fill events.  Fill events depend
+#: on nothing but the key, so one table serves every context.
+_FILL_MEMO: Dict[Tuple, int] = {}
+
+#: (stride_h, stride_w) -> {(dataspace, cumulative bounds) -> tile
+#: elements}.  Only input tiles read the strides, so a table is shared by
+#: every context whose layers have the same strides.
+_TILE_MEMOS: Dict[Tuple[int, int], Dict[Tuple, int]] = {}
 
 #: flow-vector index per dataspace (ALL_DATASPACES order: W, I, O).
 _FLOW_INDEX: Dict[DataSpace, int] = {
@@ -265,10 +277,13 @@ class SearchContext:
 
     Built once per :meth:`Mapper.search` (or on demand for standalone
     analyses) and reused across every candidate evaluation.  Holds the
-    flattened node plan plus memo tables for fill events and tile sizes;
-    both are keyed purely by loop/bound signatures, so they are valid for
-    any mapping of any layer sharing this context's strides and datatype
-    widths.
+    flattened node plan, the fanout amortization memo (it reads the
+    fanouts' multicast and reduction sets, so it is per context) and
+    references to the process-wide fill-event and tile-size tables.
+    Those two are keyed purely by loop/bound signatures and never read
+    the architecture, so every context shares one fill-event table and
+    one tile-size table per stride pair: a new configuration starts warm
+    instead of growing tables of its own.
     """
 
     __slots__ = ("architecture", "stride_h", "stride_w", "bits_per_weight",
@@ -309,10 +324,11 @@ class SearchContext:
              level.bandwidth_bits_per_cycle)
             for level in architecture.storage_levels
         ]
-        #: (loops-above signature, dataspace) -> fill events.
-        self._fill_memo: Dict[Tuple, int] = {}
-        #: (dataspace, cumulative bounds) -> tile elements.
-        self._tile_memo: Dict[Tuple, int] = {}
+        #: (loops-above signature, dataspace) -> fill events (shared).
+        self._fill_memo = _FILL_MEMO
+        #: (dataspace, cumulative bounds) -> tile elements (shared by
+        #: every context with these strides).
+        self._tile_memo = _TILE_MEMOS.setdefault(layer.strides, {})
         #: (fanout name, factors signature) -> per-dataspace flow divisors.
         self._amort_memo: Dict[Tuple, Tuple[float, ...]] = {}
         #: Capacity-limited storage plans, for the early rejection check.
@@ -372,7 +388,7 @@ class SearchContext:
         tile = memo.get(key)
         if tile is None:
             if len(memo) >= _MEMO_LIMIT:
-                memo.clear()  # soft cap: contexts live process-long
+                memo.clear()  # soft cap: tables live process-long
             if dataspace is DataSpace.WEIGHTS:
                 tile = bounds[_M] * bounds[_C] * bounds[_R] * bounds[_S]
             elif dataspace is DataSpace.OUTPUTS:
@@ -396,7 +412,7 @@ class SearchContext:
         events = memo.get(key)
         if events is None:
             if len(memo) >= _MEMO_LIMIT:
-                memo.clear()  # soft cap: contexts live process-long
+                memo.clear()  # soft cap: tables live process-long
             relevant = relevant_dims(dataspace)
             events = 1
             seen_relevant = False

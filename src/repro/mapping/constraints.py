@@ -62,6 +62,12 @@ class StorageConstraint:
             raise MappingError("reserved_bits must be >= 0")
 
 
+#: Shared "no restriction" defaults for names without an entry (frozen, so
+#: one instance serves every lookup instead of a fresh one per call).
+_NO_FANOUT_CONSTRAINT = FanoutConstraint()
+_NO_STORAGE_CONSTRAINT = StorageConstraint()
+
+
 @dataclass(frozen=True)
 class MappingConstraints:
     """Constraint set consumed by the mapper.
@@ -78,10 +84,10 @@ class MappingConstraints:
         object.__setattr__(self, "storages", dict(self.storages))
 
     def fanout(self, name: str) -> FanoutConstraint:
-        return self.fanouts.get(name, FanoutConstraint())
+        return self.fanouts.get(name, _NO_FANOUT_CONSTRAINT)
 
     def storage(self, name: str) -> StorageConstraint:
-        return self.storages.get(name, StorageConstraint())
+        return self.storages.get(name, _NO_STORAGE_CONSTRAINT)
 
     # ------------------------------------------------------------------
     # Checks

@@ -20,8 +20,11 @@ The search is deliberately structured like practical Timeloop usage:
   matter in practice.
 
 Candidates beyond ``max_evaluations`` are sampled with a seeded RNG so runs
-are reproducible.  Invalid candidates (capacity violations, constraint
-breaches) are skipped and counted.
+are reproducible, across processes too: every enumeration order comes from
+``ALL_DIMS`` / ``ALL_DATASPACES`` or a sort, never from set iteration
+(frozensets of str enums iterate in ``PYTHONHASHSEED`` order).  Invalid
+candidates (capacity violations, constraint breaches) are skipped and
+counted.
 
 Hot-path structure
 ------------------
@@ -60,6 +63,7 @@ from repro.mapping.mapping import (
     TemporalLoop,
     problem_dims,
 )
+from repro.workloads.dataspace import ALL_DATASPACES, relevant_dims
 from repro.workloads.dims import ALL_DIMS, Dim
 from repro.workloads.layer import ConvLayer
 
@@ -496,12 +500,16 @@ class Mapper:
         dims relevant to the stored dataspaces, so the search can discover
         stationary dataflows without enumerating every tile size.
         """
-        from repro.workloads.dataspace import relevant_dims as rdims
-
+        # Canonical orders, never set iteration: frozensets of str enums
+        # iterate in string-hash order, which changes between processes.
         usable: List[Dim] = []
-        for dataspace in storage.dataspaces:
-            for dim in rdims(dataspace):
-                if dim not in usable and leftover.get(dim, 1) > 1:
+        for dataspace in ALL_DATASPACES:
+            if dataspace not in storage.dataspaces:
+                continue
+            relevant = relevant_dims(dataspace)
+            for dim in ALL_DIMS:
+                if (dim in relevant and dim not in usable
+                        and leftover.get(dim, 1) > 1):
                     usable.append(dim)
         options: List[Dict[Dim, int]] = [{}]
         if not usable:
@@ -545,8 +553,11 @@ class Mapper:
             if budget is None:
                 budget = 10 ** 9
             factors: Dict[Dim, int] = {}
-            for dim in sorted(storage.allowed_temporal_dims,
-                              key=lambda d: -leftover.get(d, 1)):
+            # Stable sort from ALL_DIMS order, so ties never fall back on
+            # the frozenset's (hash-seeded) iteration order.
+            allowed = [dim for dim in ALL_DIMS
+                       if dim in storage.allowed_temporal_dims]
+            for dim in sorted(allowed, key=lambda d: -leftover.get(d, 1)):
                 if budget <= 1:
                     break
                 factor = _largest_fitting_factor(

@@ -38,7 +38,8 @@ class TemporalLoop:
     bound: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", Dim(self.dim))
+        if not isinstance(self.dim, Dim):
+            object.__setattr__(self, "dim", Dim(self.dim))
         if self.bound < 1:
             raise MappingError(
                 f"temporal loop over {self.dim} must have bound >= 1, got "

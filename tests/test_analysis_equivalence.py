@@ -14,6 +14,7 @@ reference mappings, mapper-found mappings, and adversarial padded
 mappings — and assert exact equality, floats included.
 """
 
+from dataclasses import replace
 from typing import Dict, List, Sequence
 
 import pytest
@@ -25,6 +26,7 @@ from repro.arch.hierarchy import (
     StorageLevel,
 )
 from repro.exceptions import CapacityError, MappingError
+from repro.mapping import analysis
 from repro.mapping.analysis import (
     HAVE_NUMPY,
     AccessCounts,
@@ -443,6 +445,33 @@ class TestResNet18Equivalence:
             for mapping in albireo_mapping_candidates(system.config,
                                                       target)[:4]:
                 _assert_equivalent(system.architecture, target, mapping)
+
+    def test_tables_warmed_by_other_configurations(self, system):
+        """The fill-event and tile-size tables are process-wide (one
+        tile table per stride pair).  Entries written while analyzing a
+        second configuration, and a strided twin of every layer, must
+        serve this configuration exactly as the memo-free reference
+        computes.  The tables start empty, so every entry the checked
+        analyses read back was written by the warm-up."""
+        layers = [system.analysis_layer(layer)
+                  for layer in (RESNET_LAYERS[1], RESNET_LAYERS[3])]
+        checked = [(layer, albireo_mapping_candidates(system.config, layer))
+                   for layer in layers]
+        checked[1][1].append(system.search_mapping(
+            layers[1], max_evaluations=60, seed=0).mapping)
+        for table in (analysis._FILL_MEMO, *analysis._TILE_MEMOS.values()):
+            table.clear()
+        other = AlbireoSystem(AlbireoConfig(clock_ghz=3.0,
+                                            global_buffer_kib=512))
+        for layer, mappings in checked:
+            twin = replace(layer, stride_h=2, stride_w=2)
+            for mapping in mappings:
+                for target in (twin, layer):
+                    analyze(other.architecture, target, mapping,
+                            check_capacity=False)
+        for layer, mappings in checked:
+            for mapping in mappings:
+                _assert_equivalent(system.architecture, layer, mapping)
 
     def test_capacity_rejection_matches(self, system):
         """Over-capacity mappings raise CapacityError in both paths."""

@@ -1,5 +1,9 @@
 """Tests for the mapper search and its constraints."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.exceptions import MappingError
@@ -98,6 +102,35 @@ class TestSearch:
         a = mapper.search(medium_conv, max_evaluations=200, seed=7)
         b = mapper.search(medium_conv, max_evaluations=200, seed=7)
         assert a.cost == b.cost
+
+    def test_deterministic_across_processes(self):
+        """The search must not depend on PYTHONHASHSEED: frozensets of
+        str enums iterate in string-hash order, so any enumeration order
+        taken from one changes the candidate pool between processes."""
+        script = (
+            "import sys; sys.path.insert(0, 'src')\n"
+            "from repro.systems import create_system\n"
+            "from repro.workloads import lenet5\n"
+            "layer = {entry.layer.name: entry.layer\n"
+            "         for entry in lenet5().entries}['conv2']\n"
+            "for name in ('crossbar', 'wdm_delay'):\n"
+            "    result = create_system(name).search_mapping(layer)\n"
+            "    print(name, result.evaluated, result.valid,\n"
+            "          result.deduplicated, result.pruned_early,\n"
+            "          result.cost.hex(), result.mapping.canonical_key())\n"
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=120,
+                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+                cwd=str(pathlib.Path(__file__).parent.parent),
+            )
+            assert result.returncode == 0, result.stderr[-2000:]
+            outputs.append(result.stdout)
+        assert outputs[0].count("\n") == 2, outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_uses_spatial_parallelism(self, two_level_arch, medium_conv):
         mapper = Mapper(two_level_arch,

@@ -1,10 +1,13 @@
 """Tests for the shared SearchContext and the mapper's hot-path protocols.
 
-Covers the context construction cache, the cheap early capacity check
-(which must agree exactly with the analyzer's CapacityError behaviour),
-the validate-once protocol, and the search-efficiency counters.
+Covers the context construction cache, the process-wide geometry tables
+(a new configuration must not grow the heap), the cheap early capacity
+check (which must agree exactly with the analyzer's CapacityError
+behaviour), the validate-once protocol, and the search-efficiency
+counters.
 """
 
+import gc
 import pickle
 
 import pytest
@@ -53,6 +56,23 @@ class TestContextConstruction:
         a = SearchContext.for_layer(system.architecture, LAYER)
         b = SearchContext.for_layer(system.architecture, strided)
         assert a is not b
+
+    def test_geometry_tables_shared_across_configurations(self):
+        """Contexts of two configurations share the fill-event table and,
+        per stride pair, the tile-size table; the amortization memo reads
+        the fanouts, so it stays per context."""
+        strided = ConvLayer(name="strided", m=32, c=16, p=7, q=7, r=3, s=3,
+                            stride_h=2, stride_w=2)
+        first = AlbireoSystem(AlbireoConfig(clock_ghz=3.0)).architecture
+        second = AlbireoSystem(AlbireoConfig(clock_ghz=4.0)).architecture
+        a = SearchContext.for_layer(first, LAYER)
+        b = SearchContext.for_layer(second, LAYER)
+        c = SearchContext.for_layer(second, strided)
+        assert a is not b
+        assert a._fill_memo is b._fill_memo is c._fill_memo
+        assert a._tile_memo is b._tile_memo
+        assert c._tile_memo is not a._tile_memo
+        assert a._amort_memo is not b._amort_memo
 
     def test_incompatible_context_rejected(self, system):
         strided = ConvLayer(name="strided", m=32, c=16, p=7, q=7, r=3, s=3,
@@ -211,3 +231,25 @@ class TestSearchCounters:
         assert fast.mapping == legacy.mapping
         assert fast.evaluated == legacy.evaluated
         assert fast.valid == legacy.valid
+
+
+class TestBoundedHeap:
+    def test_new_configurations_leave_the_heap_flat(self):
+        """Serial use_mapper studies, each on a new configuration (a new
+        clock), must not leave per-configuration geometry tables behind:
+        the GC-tracked object count stays nearly flat after the first.
+
+        Per-configuration tables would add ~19k tracked objects per
+        study, mostly memo-key tuples; a study's own architecture and
+        energy-table builds add a few hundred."""
+        from repro.api import Study
+
+        counts = []
+        for index in range(6):
+            (Study().systems("crossbar").networks("tiny")
+             .grid(clock_ghz=[2.0 + 0.37 * index])
+             .options(use_mapper=True).run())
+            gc.collect()
+            counts.append(len(gc.get_objects()))
+        per_study = (counts[-1] - counts[0]) / (len(counts) - 1)
+        assert per_study < 2000, (per_study, counts)
