@@ -22,9 +22,10 @@ every registered system's `repro sweep` configuration grid in one batch
   unguarded warm-pool baseline by the pytest entry.
 
 Every mode starts from a fresh in-memory cache and must reproduce the
-serial results bit-for-bit.  The planner's dedup counters are recorded,
+serial results bit-for-bit.  The planner's task counters are recorded,
 plus plan-only statistics for the paper's Fig. 4 / Fig. 5 grids (where
-cross-job and repeated-geometry dedup must be non-zero).
+every planned task must be a distinct configuration x layer-shape x
+flags entry: one task per geometry per configuration).
 
 A final :mod:`repro.obs`-traced planner run attributes the parallel
 path's overhead by phase — pool spawn vs dispatch (pickle/submit/wait)
@@ -78,11 +79,11 @@ SCALING_SIZES_SMALL = (72, 288)
 SCALING_SIZES_FULL = SCALING_SIZES_SMALL + (1008,)
 #: Layer entries in the synthetic network.  Deep networks amortize the
 #: per-config phase-1 cost (two unique layer geometries plus one system
-#: build per configuration) over many assembled entries, which is where
-#: the planner's asymmetry — name-free dedup vs per-name serial
-#: evaluation — pays off hardest: serial pays a full nest analysis per
-#: *named* entry (~200us) while the planner pays only alias derivation
-#: and assembly (~20us), so the ratio climbs with depth.
+#: build per configuration) over many assembled entries.  Both paths
+#: evaluate each geometry once per configuration (layer entries are
+#: keyed by shape), so what grows with depth is the per-entry cost:
+#: serial decodes a cached layer evaluation for every repeated entry,
+#: while the planner only embeds the warm entry in the result dict.
 SCALING_ENTRIES = 384
 
 #: Cache-scaling mode: persistence cost as the *store* grows while the
@@ -137,10 +138,10 @@ def synthetic_network(entries: int = SCALING_ENTRIES):
     """A deep synthetic network: ``entries`` conv layers alternating two
     geometries under distinct names (``conv000``, ``conv001``, ...).
 
-    Distinct names are the point: the serial path memoizes per layer
-    *name*, so it evaluates every entry, while the planner dedups by
-    geometry and derives the siblings by renaming — the same shape
-    ResNet18's repeated blocks exhibit, exaggerated to benchmark scale.
+    Distinct names are the point: every path evaluates each geometry
+    once and every same-shape entry reads that shape-keyed result under
+    its own name — the pattern ResNet18's repeated blocks exhibit,
+    exaggerated to benchmark scale.
     """
     from repro.workloads import ConvLayer
     from repro.workloads.network import LayerRepetition, Network
@@ -160,8 +161,9 @@ def synthetic_network(entries: int = SCALING_ENTRIES):
 def synthetic_grid_jobs(network, count: int):
     """``count`` distinct Albireo configurations over ``network`` — a
     pure config sweep (every configuration is a separate system key, so
-    nothing dedups *across* configs; the planner's win is within-config
-    geometry dedup plus chunked dispatch)."""
+    nothing dedups *across* configs; the planner's win is chunked
+    parallel dispatch plus assembly that embeds warm entries instead of
+    decoding them)."""
     from dataclasses import replace
 
     from repro.engine import config_sweep_jobs
@@ -585,13 +587,19 @@ def main() -> dict:
 def test_sweep_throughput_benchmark():
     """Pytest entry: parallel must strictly beat serial on the cold
     default grid, the synthetic curve must show the at-scale win, the
-    acceptance grids must show dedup, parent-side dispatch overhead
-    must stay a small fraction of the run, and the traced run must
-    attribute (nearly) all of the main lane's wall-clock."""
+    acceptance grids must plan exactly one task per geometry per
+    configuration, parent-side dispatch overhead must stay a small
+    fraction of the run, and the traced run must attribute (nearly) all
+    of the main lane's wall-clock."""
     report = main()
-    assert report["planner"]["deduplicated"] > 0
-    assert report["grids"]["fig4_memory"]["deduplicated"] > 0
-    assert report["grids"]["fig5_reuse"]["deduplicated"] > 0
+    # Layer entries are keyed by shape, so expansion already yields one
+    # task per (configuration, geometry, flags): every planned task runs.
+    planner = report["planner"]
+    assert planner["phase1_tasks"] == planner["planned"] == 864, planner
+    fig4 = report["grids"]["fig4_memory"]
+    assert fig4["phase1_tasks"] == fig4["planned"] == 96, fig4
+    fig5 = report["grids"]["fig5_reuse"]
+    assert fig5["phase1_tasks"] == fig5["planned"] == 216, fig5
     # The planner must not regress the parallel path, and — the point
     # of the warm-pool/slim-wire/vectorized work — must strictly beat
     # serial even on the small cold grid, median to median.
@@ -600,9 +608,9 @@ def test_sweep_throughput_benchmark():
     # grid.  Asserted on the warm-pool planner mode — the configuration
     # this PR ships (a persistent pool amortizes spawn/fork overhead;
     # the caches are still cold every run).  On a single-core runner
-    # the win is purely algorithmic (geometry dedup + slim dispatch),
-    # so the margin is a few percent; the warm pool is what keeps it
-    # strictly positive.
+    # the win is purely algorithmic (slim dispatch, and assembly that
+    # embeds warm entries where serial decodes them), so the margin is
+    # a few percent; the warm pool is what keeps it strictly positive.
     timings = report["timings"]
     assert (timings["planner_workers4_warmpool"]["median_s"]
             < timings["serial"]["median_s"]), \
@@ -618,8 +626,8 @@ def test_sweep_throughput_benchmark():
         (f"no-fault policy overhead too high: guarded {guarded:.3f}s vs "
          f"baseline {baseline:.3f}s "
          f"({report['fault_policy_overhead_pct']:+.1f}%)")
-    # At 1000+ jobs the asymmetry compounds: geometry dedup plus slim
-    # chunked dispatch must clear 5x over serial.
+    # At 1000+ jobs the asymmetry compounds: slim chunked dispatch plus
+    # decode-free assembly must clear 5x over serial.
     for point in report["scaling"]["points"]:
         assert point["speedup"] > 1.0, point
         if point["jobs"] >= 1000:

@@ -109,10 +109,11 @@ class PlannerStats:
     """Counters of the sweep planner's cross-job work elimination.
 
     Filled by :func:`repro.engine.planner.build_plan` in the parent
-    process: of ``planned`` sub-tasks expanded from a job batch,
-    ``deduplicated`` were dropped as duplicates of another task in the
-    same batch (including same-geometry layers under different names) and
-    ``cache_hits`` because the cache already held them; ``phase1_tasks``
+    process: of ``planned`` sub-tasks expanded from a job batch (one per
+    distinct layer shape and flag set of each job), ``deduplicated`` were
+    dropped as duplicates of another job's task with the same
+    configuration and ``cache_hits`` because the cache already held
+    them; ``phase1_tasks``
     is the unique remainder actually executed, shipped as ``batches``
     pool dispatch payloads.
     """

@@ -278,9 +278,10 @@ def network_evaluation_from_dict(
     """
     layer_specs = tuple((layer_spec, int(count))
                         for layer_spec, count in spec["layers"])
-    # Layers often share one rows list (the planner's aliases copy layer
-    # entries shallowly): decode each list once.  ``layer_specs`` keeps
-    # every list alive, so its id is a sound key for this call.
+    # Layers often share one rows list (same-shape layers read one
+    # shape-keyed entry, which assembly embeds or copies shallowly):
+    # decode each list once.  ``layer_specs`` keeps every list alive, so
+    # its id is a sound key for this call.
     decoded: Dict[int, dict] = {}
 
     def entries_of(layer_spec: TMapping[str, Any]) -> dict:

@@ -56,6 +56,7 @@ from repro import obs
 from repro.engine import faults
 from repro.engine.cache import EvaluationCache, SystemStore, store_entry_key
 from repro.engine.codec import (
+    layer_to_dict,
     network_evaluation_from_dict,
     network_evaluation_to_dict,
 )
@@ -618,19 +619,22 @@ def _execute_round(
 
 
 def _assembly_recipe(system: Any, job: EvaluationJob) -> List[Tuple]:
-    """The (store key, count) sequence assembling ``job`` looks up —
-    the same fusion-block walk :meth:`evaluate_network` performs."""
+    """The (store key, count, layer dict) sequence assembling ``job``
+    looks up — the same fusion-block walk :meth:`evaluate_network`
+    performs, with each entry's own layer to attach to what it reads."""
     from repro.model.accelerator import fusion_blocks
 
     network_entries = job.network.entries
     recipe = []
     for index, network_entry in enumerate(network_entries):
         is_last = index == len(network_entries) - 1
+        layer = network_entry.layer
+        layer_spec = layer_to_dict(layer)
         for input_dram, output_dram, count in fusion_blocks(
                 network_entry, is_last, job.fused):
             recipe.append((system._layer_store_key(
-                network_entry.layer, job.use_mapper,
-                input_dram, output_dram), count))
+                layer, job.use_mapper, input_dram, output_dram),
+                count, layer_spec))
     return recipe
 
 
@@ -646,12 +650,14 @@ def _assemble_job(
     evaluate_network` would return: the cached per-layer dicts are the
     exact serializations the object path would decode and re-encode, so
     embedding them verbatim is bit-identical and skips both conversions.
-    Returns ``None`` when any entry is missing — the caller then falls
-    back to ordinary evaluation.  When the missing entry is listed in
-    ``failed_entries`` (its phase-1 computation failed under the
-    failure-policy guard), :class:`_SubTaskFailed` is raised instead so
-    the caller routes the job through the policy rather than silently
-    recomputing a known-failing task.
+    Layer entries are shared by shape, so an entry stored under another
+    same-shape layer is embedded as a shallow copy carrying this job's
+    own layer dict.  Returns ``None`` when any entry is missing — the
+    caller then falls back to ordinary evaluation.  When the missing
+    entry is listed in ``failed_entries`` (its phase-1 computation
+    failed under the failure-policy guard), :class:`_SubTaskFailed` is
+    raised instead so the caller routes the job through the policy
+    rather than silently recomputing a known-failing task.
 
     ``recipes`` (optional, per-run) memoizes the store-key walk for
     systems whose task keys are configuration-free, so a sweep of many
@@ -681,18 +687,19 @@ def _assemble_job(
         if memo_key is not None:
             recipes[memo_key] = recipe
     layers = []
-    for store_key, count in recipe:
+    for store_key, count, layer_spec in recipe:
         key = store_entry_key(system_key, store_key)
         layer_dict = cache.peek("layers", key)
         if layer_dict is None:
             if failed_entries and key in failed_entries:
                 raise _SubTaskFailed(*failed_entries[key])
             return None
-        if not job.include_dram:
-            layer_dict = dict(layer_dict)
-            layer_dict["energy"] = [
-                row for row in layer_dict["energy"] if row[0] != "DRAM"
-            ]
+        if layer_dict["layer"] != layer_spec or not job.include_dram:
+            layer_dict = dict(layer_dict, layer=layer_spec)
+            if not job.include_dram:
+                layer_dict["energy"] = [
+                    row for row in layer_dict["energy"] if row[0] != "DRAM"
+                ]
         layers.append([layer_dict, count])
     return {
         "name": job.network.name,
@@ -769,24 +776,6 @@ def _execute_phase1(
                                               - respawns_before)
                 if owned:
                     pool.close()
-    # Entries the planner collapsed across layer names: copy the
-    # representative and rename.  A representative that is somehow
-    # missing (its chunk raised before computing it) is simply skipped —
-    # phase 2 computes the alias the ordinary way; if the representative
-    # outright *failed*, its aliases failed with it.
-    with obs.span("executor.aliases", count=len(sweep_plan.aliases)):
-        for alias in sweep_plan.aliases:
-            if alias.representative_key in failed_entries:
-                failed_entries[alias.alias_key] = \
-                    failed_entries[alias.representative_key]
-                continue
-            entry = cache.peek("layers", alias.representative_key)
-            if entry is None:
-                continue
-            derived = dict(entry)
-            derived["layer"] = dict(entry["layer"])
-            derived["layer"]["name"] = alias.layer_name
-            cache.put("layers", alias.alias_key, derived)
     return failed_entries
 
 

@@ -5,13 +5,13 @@ turns that batch into a two-phase *work plan* first.  Each job is
 expanded into the sub-tasks its evaluation would memoize through the
 ``store`` seam — mapper searches and per-layer evaluations, enumerated
 by :meth:`repro.systems.base.PhotonicSystem.enumerate_sub_tasks` — and
-the expansion is deduplicated three ways:
+the expansion is deduplicated two ways:
 
-* **within a job** by store key (repeated fusion-block flag pairs);
-* **across the batch** by :meth:`~repro.systems.base.PhotonicSystem.
-  sub_task_dedup_key`, a name-free identity under which same-geometry
-  layers (ResNet18's repeated block shapes, jobs sharing a
-  configuration) compute once and the siblings are derived by renaming;
+* **by store key**, within a job and across the batch.  Store keys name
+  a layer's shape, not the layer, so same-geometry layers (ResNet18's
+  repeated block shapes) compute once per configuration and share one
+  entry, as do repeated fusion-block flag pairs and the tasks of jobs
+  sharing a configuration;
 * **against the cache**, so warm entries are never re-planned.
 
 The unique remainder is grouped into :class:`TaskChunk` payloads with
@@ -40,16 +40,6 @@ from repro.engine.jobs import EvaluationJob, job_system_key, system_registry
 
 #: Namespace a sub-task kind persists into.
 _TASK_NAMESPACE = {"mapper": "mappings", "layer": "layers"}
-
-
-@dataclass(frozen=True)
-class LayerAlias:
-    """A layer entry derivable from a same-geometry representative by
-    renaming (``entry["layer"]["name"]`` is the only difference)."""
-
-    representative_key: str
-    alias_key: str
-    layer_name: str
 
 
 @dataclass
@@ -85,7 +75,6 @@ class SweepPlan:
     """
 
     batches: List[List[TaskChunk]]
-    aliases: List[LayerAlias]
     planned: int = 0
     deduplicated: int = 0
     cache_hits: int = 0
@@ -105,8 +94,8 @@ class SweepPlan:
 #: phase 2.  The gate and the assembler test the same set, so a batch
 #: that cannot be assembled parent-side never pays for planning.
 _PLANNER_SEAMS = ("enumerate_sub_tasks", "compute_sub_task",
-                  "sub_task_store_key", "sub_task_dedup_key",
-                  "_layer_store_key", "_mapper_store_key")
+                  "sub_task_store_key", "_layer_store_key",
+                  "_mapper_store_key")
 
 
 def plannable(jobs: Sequence[EvaluationJob]) -> bool:
@@ -127,10 +116,9 @@ def plannable(jobs: Sequence[EvaluationJob]) -> bool:
 
 
 def _expand_tasks(system: Any,
-                  job: EvaluationJob) -> List[Tuple[Any, Tuple, Tuple]]:
-    """One job's sub-tasks with their store and dedup keys precomputed."""
-    return [(task, system.sub_task_store_key(task),
-             system.sub_task_dedup_key(task))
+                  job: EvaluationJob) -> List[Tuple[Any, Tuple]]:
+    """One job's sub-tasks with their store keys precomputed."""
+    return [(task, system.sub_task_store_key(task))
             for task in system.enumerate_sub_tasks(
                 job.network, fused=job.fused, use_mapper=job.use_mapper)]
 
@@ -149,20 +137,15 @@ def build_plan(jobs: Sequence[EvaluationJob],
     with obs.span("planner.build_plan", jobs=len(jobs)) as plan_span:
         registry = system_registry()
         groups: Dict[str, TaskChunk] = {}
-        # dedup-key -> (namespace, representative entry key); layer
-        # representatives also remember their store key string so
-        # siblings can be derived by renaming.
-        representatives: Dict[Tuple[str, Tuple], str] = {}
-        aliases: List[LayerAlias] = []
-        alias_keys = set()
+        seen = set()  # entry keys already planned (or found cached)
         planned = deduplicated = cache_hits = 0
         systems: Dict[str, Any] = {}
         # (system class, network identity, fused, use_mapper) ->
-        # [(task, store key, dedup suffix), ...].  Systems declaring
-        # their task keys configuration-free (all built-ins) expand each
-        # network once per batch instead of once per job; the jobs keep
-        # their networks alive, so identity keying is stable here.
-        expansions: Dict[Tuple, List[Tuple[Any, Tuple, Tuple]]] = {}
+        # [(task, store key), ...].  Systems declaring their task keys
+        # configuration-free (all built-ins) expand each network once per
+        # batch instead of once per job; the jobs keep their networks
+        # alive, so identity keying is stable here.
+        expansions: Dict[Tuple, List[Tuple[Any, Tuple]]] = {}
 
         with obs.span("planner.expand"):
             for job in jobs:
@@ -186,28 +169,15 @@ def build_plan(jobs: Sequence[EvaluationJob],
                         expansions[memo_key] = expansion
                 else:
                     expansion = _expand_tasks(system, job)
-                for task, store_key, dedup_suffix in expansion:
+                for task, store_key in expansion:
                     planned += 1
-                    namespace = _TASK_NAMESPACE[task.kind]
                     entry_key = store_entry_key(system_key, store_key)
-                    dedup_key = (system_key, dedup_suffix)
-                    known = representatives.get(dedup_key)
-                    if known is not None:
+                    if entry_key in seen:
                         deduplicated += 1
-                        if (task.kind == "layer" and known != entry_key
-                                and entry_key not in alias_keys
-                                and not cache.contains(namespace,
-                                                       entry_key)):
-                            # Same geometry under another name: derive
-                            # after phase 1 instead of recomputing.
-                            alias_keys.add(entry_key)
-                            aliases.append(LayerAlias(
-                                representative_key=known,
-                                alias_key=entry_key,
-                                layer_name=task.layer.name))
                         continue
-                    representatives[dedup_key] = entry_key
-                    if cache.contains(namespace, entry_key):
+                    seen.add(entry_key)
+                    if cache.contains(_TASK_NAMESPACE[task.kind],
+                                      entry_key):
                         cache_hits += 1
                         continue
                     if task.kind == "mapper" or task.use_mapper:
@@ -222,7 +192,7 @@ def build_plan(jobs: Sequence[EvaluationJob],
             batches = _balance(
                 [group for group in groups.values() if group.tasks],
                 workers)
-        plan = SweepPlan(batches=batches, aliases=aliases, planned=planned,
+        plan = SweepPlan(batches=batches, planned=planned,
                          deduplicated=deduplicated, cache_hits=cache_hits)
         stats = cache.planner
         stats.planned += plan.planned

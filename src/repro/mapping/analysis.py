@@ -93,7 +93,7 @@ from repro.arch.hierarchy import (
     StorageLevel,
 )
 from repro.exceptions import CapacityError, MappingError
-from repro.mapping.mapping import Mapping, TemporalLoop
+from repro.mapping.mapping import Mapping
 from repro.obs import current_tracer
 from repro.workloads.dataspace import (
     ALL_DATASPACES,
@@ -170,31 +170,6 @@ class AccessCounts:
         name, cycles = max(self.bandwidth_cycles.items(),
                            key=lambda item: item[1])
         return name if cycles > self.cycles else None
-
-
-def _loop_is_transparent(loop: TemporalLoop) -> bool:
-    return loop.bound <= 1
-
-
-def _fill_events(loops_above_innermost_first: Sequence[TemporalLoop],
-                 dataspace: DataSpace) -> int:
-    """Number of times a level's tile of ``dataspace`` is (re)instantiated.
-
-    ``loops_above_innermost_first`` lists every temporal loop above the
-    level, starting with the innermost.  See the module docstring for the
-    reuse rule being implemented.
-    """
-    relevant = relevant_dims(dataspace)
-    events = 1
-    seen_relevant = False
-    for loop in loops_above_innermost_first:
-        if _loop_is_transparent(loop):
-            continue
-        if not seen_relevant and loop.dim not in relevant:
-            continue  # initial irrelevant run: perfect temporal reuse
-        seen_relevant = True
-        events *= loop.bound
-    return events
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +377,14 @@ class SearchContext:
 
     def fill_events(self, signature: Tuple[Tuple[Dim, int], ...],
                     dataspace: DataSpace) -> int:
-        """Memoized :func:`_fill_events` on a non-transparent loop signature.
+        """How many times a level's tile of ``dataspace`` is
+        (re)instantiated, memoized per loop signature.
 
         ``signature`` lists the (dim, bound) pairs of every bound>1 loop
-        above the level, innermost first.
+        above the level, innermost first (bound-1 loops are transparent).
+        The initial run of loops irrelevant to ``dataspace`` reuses the
+        tile; every loop from the first relevant one outward multiplies
+        the fill count by its bound (the module docstring's reuse rule).
         """
         key = (signature, dataspace)
         memo = self._fill_memo

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import functools
 from typing import (
     Any,
     Callable,
@@ -100,19 +99,11 @@ def build_cached(builder: Callable[[Any], Any], config: Any) -> Any:
 
 
 def layer_shape_key(layer: ConvLayer) -> Tuple:
-    """Cache key: everything that affects mapping choice except the name."""
+    """Cache key: every layer field that affects mapping choice and
+    evaluation — all but the name and the ``kind`` tag."""
     return (layer.n, layer.m, layer.c, layer.p, layer.q, layer.r, layer.s,
             layer.stride_h, layer.stride_w, layer.groups,
             layer.bits_per_weight, layer.bits_per_activation)
-
-
-@functools.lru_cache(maxsize=None)
-def _dedup_field_names(layer_cls: type) -> Tuple[str, ...]:
-    """Every dataclass field of ``layer_cls`` except ``name`` — the slice
-    of the layer :meth:`PhotonicSystem.sub_task_dedup_key` shares numbers
-    under.  Per-class, so calling it per task costs one dict probe."""
-    return tuple(field.name for field in dataclasses.fields(layer_cls)
-                 if field.name != "name")
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +119,10 @@ class SubTask:
     whole-network job into these, deduplicates them across a batch, and
     executes the unique remainder at task granularity.  A ``"mapper"``
     task runs one mapper search; a ``"layer"`` task evaluates one layer
-    under one pair of DRAM-traffic flags.  Both are keyed and persisted
-    through the system's ``store`` seam, so computing a sub-task warms
-    exactly the entries the normal evaluation path would look up.
+    shape under one pair of DRAM-traffic flags.  Both are keyed by shape
+    and persisted through the system's ``store`` seam, so computing a
+    sub-task warms exactly the entries the normal evaluation path would
+    look up — for every same-shape layer, whatever its name.
     """
 
     kind: str  # "mapper" | "layer"
@@ -298,11 +290,14 @@ class PhotonicSystem(abc.ABC):
                          input_from_dram: bool,
                          output_to_dram: bool) -> Tuple:
         """Structural ``store`` key of one default-mapping layer
-        evaluation: the layer (shape and name, so cached results
-        reconstruct exactly) plus every flag that changes the result."""
-        return ("layer", layer.name, layer_shape_key(layer),
-                bool(use_mapper), bool(input_from_dram),
-                bool(output_to_dram))
+        evaluation: the layer's shape plus every flag that changes the
+        result.  The name and ``kind`` tag change no number, so
+        same-shape layers share one entry; each reader attaches its own
+        layer to what it reads (:meth:`evaluate_layer` here, parent-side
+        assembly in :mod:`repro.engine.executor`).  A system whose numbers
+        do depend on the name must override this to include it."""
+        return ("layer", layer_shape_key(layer), bool(use_mapper),
+                bool(input_from_dram), bool(output_to_dram))
 
     def search_mapping(self, layer: ConvLayer,
                        max_evaluations: int = 1000,
@@ -347,7 +342,8 @@ class PhotonicSystem(abc.ABC):
                 layer, use_mapper, input_from_dram, output_to_dram)
             cached = self.store.load_layer(store_key)
             if cached is not None:
-                return cached
+                # The entry may hold another same-shape layer.
+                return dataclasses.replace(cached, layer=layer)
         with obs.span("layer.evaluate", layer=layer.name,
                       use_mapper=use_mapper):
             if mapping is None:
@@ -410,9 +406,10 @@ class PhotonicSystem(abc.ABC):
 
         Mirrors the evaluation loop (same :func:`fusion_blocks` policy)
         without evaluating anything: one ``"layer"`` task per distinct
-        (layer, DRAM flags) store key, preceded — when the mapper is on —
-        by one ``"mapper"`` task per distinct search key, so executing
-        the tasks in order warms every entry the evaluation will look up.
+        (layer shape, DRAM flags) store key, preceded — when the mapper is
+        on — by one ``"mapper"`` task per distinct search key, so
+        executing the tasks in order warms every entry the evaluation
+        will look up.
         """
         mapper_tasks: List[SubTask] = []
         layer_tasks: List[SubTask] = []
@@ -448,26 +445,6 @@ class PhotonicSystem(abc.ABC):
         return self._layer_store_key(task.layer, task.use_mapper,
                                      task.input_from_dram,
                                      task.output_to_dram)
-
-    def sub_task_dedup_key(self, task: SubTask) -> Tuple:
-        """Identity under which a sub-task's *numbers* are shared.
-
-        Layer names are presentation: the whole evaluation pipeline is a
-        function of the layer's shape fields (reference mappings and
-        mapper searches are already keyed shape-only), so two layer tasks
-        differing only in ``layer.name`` produce evaluations identical in
-        everything but that name.  The planner computes one representative
-        per dedup key and derives the siblings by renaming — a system
-        whose evaluation *does* depend on the name must override this to
-        include it.
-        """
-        layer = task.layer
-        shape = tuple(getattr(layer, name)
-                      for name in _dedup_field_names(type(layer)))
-        if task.kind == "mapper":
-            return ("mapper", shape)
-        return ("layer", shape, bool(task.use_mapper),
-                bool(task.input_from_dram), bool(task.output_to_dram))
 
     def compute_sub_task(self, task: SubTask) -> None:
         """Execute one sub-task; its result lands in the ``store`` seam."""

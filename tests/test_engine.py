@@ -42,7 +42,7 @@ def small_network():
 
 def _repeated_geometry_network():
     """A network whose layers repeat the same shape under several names
-    (the ResNet18 pattern the planner's rename-dedup targets).
+    (the ResNet18 pattern shape-keyed layer entries share).
 
     Built from explicit entries: ``Network.from_layers`` would merge the
     consecutive same-shape layers into one counted repetition, which is
@@ -432,19 +432,18 @@ class TestExecutor:
 
 class TestPlanner:
     def test_plan_dedups_repeated_geometry(self):
-        """Same-shape layers under different names plan one task each."""
+        """Same-shape layers under different names share one task."""
         network = _repeated_geometry_network()
         jobs = [make_job(network, config)
                 for config in _small_configs(2)]
         cache = EvaluationCache()
         plan = build_plan(jobs, cache, workers=2)
         assert plan is not None
-        # 5 entries per job but only 2 unique geometries per config.
-        assert plan.planned == 10
-        assert plan.deduplicated == 6
-        assert plan.phase1_tasks == 4
-        assert len(plan.aliases) == 6
-        assert cache.planner.planned == 10
+        # 5 entries per job but only 2 unique geometries per config: the
+        # shape-keyed expansion already collapses the rest.
+        assert plan.planned == plan.phase1_tasks == 4
+        assert plan.deduplicated == 0
+        assert cache.planner.planned == 4
         assert cache.planner.phase1_tasks == 4
 
     def test_plan_dedups_against_warm_cache(self, small_network):
@@ -457,9 +456,9 @@ class TestPlanner:
         assert plan.cache_hits > 0
         assert not plan.batches
 
-    def test_planned_parallel_identical_and_aliases_cached(self):
-        """Rename-dedup still yields bit-identical results, and the
-        derived sibling entries land in the cache for later replay."""
+    def test_planned_parallel_identical_and_shared_entries_cached(self):
+        """Shape-shared layer entries still yield bit-identical results,
+        and they land in the cache for later replay."""
         network = _repeated_geometry_network()
         jobs = [make_job(network, config, include_dram=include_dram)
                 for config in _small_configs(2)
@@ -471,16 +470,17 @@ class TestPlanner:
         for a, b in zip(serial, parallel):
             assert _evaluations_identical(a, b)
             assert a.energy_pj == b.energy_pj
-        # Every distinct layer name is individually cached (aliases were
-        # derived), so a warm run needs no evaluation at all.
+        # Every layer shape is cached once and every same-shape layer
+        # reads that entry, so a warm run needs no evaluation at all.
         warm = EvaluationCache.from_snapshot(cache.snapshot())
         run_jobs(jobs, cache=warm)
         assert warm.stats["results"].hits == len(jobs)
         assert warm.stats["layers"].misses == 0
 
-    def test_fig4_fig5_grids_have_cross_job_dedup(self):
-        """The acceptance-criterion grids: planning them finds duplicate
-        sub-tasks to eliminate (repeated ResNet18 shapes, shared arms)."""
+    def test_fig4_fig5_grids_plan_one_task_per_geometry(self):
+        """The acceptance-criterion grids: every planned sub-task is a
+        distinct (configuration, shape, flags) entry — ResNet18's repeated
+        block shapes collapse at expansion, so nothing is left to dedup."""
         from repro.energy import AGGRESSIVE, CONSERVATIVE
         from repro.workloads import resnet18
 
@@ -488,10 +488,10 @@ class TestPlanner:
         fig4 = memory_sweep_jobs(network, AlbireoConfig(),
                                  scenarios=(CONSERVATIVE, AGGRESSIVE))
         plan4 = build_plan(fig4, EvaluationCache(), workers=4)
-        assert plan4.deduplicated > 0
+        assert plan4.planned == plan4.phase1_tasks == 96
         fig5 = reuse_sweep_jobs(network, AlbireoConfig())
         plan5 = build_plan(fig5, EvaluationCache(), workers=4)
-        assert plan5.deduplicated > 0
+        assert plan5.planned == plan5.phase1_tasks == 216
 
     def test_plan_false_forces_whole_job_path(self, small_network):
         jobs = config_sweep_jobs(small_network, _small_configs(3))
@@ -584,6 +584,64 @@ class TestPlanner:
         assert all(job.tag("system") == job.system for job in jobs)
         only = default_grid_jobs(small_network, systems=("albireo",))
         assert {job.system for job in only} == {"albireo"}
+
+
+class TestShapeKeyedLayerEntries:
+    """Layer entries are keyed by shape; every reader attaches its own
+    layer, so sharing an entry never leaks another layer's tags."""
+
+    def test_shared_entries_are_stored_once(self):
+        """Serial runs read same-shape layers from one stored entry."""
+        network = _repeated_geometry_network()
+        cache = EvaluationCache()
+        run_jobs([make_job(network, config)
+                  for config in _small_configs(2)], cache=cache)
+        # 2 shapes x 2 configs; conv1..conv3 read conv0's entry.
+        assert cache.size("layers") == 4
+        assert cache.stats["layers"].hits == 6
+        assert cache.stats["layers"].misses == 4
+
+    def test_each_layer_keeps_its_own_name_and_kind(self):
+        from repro.workloads import ConvLayer
+        from repro.workloads.network import LayerRepetition, Network
+
+        shape = dict(m=8, c=8, p=16, q=16, r=3, s=3)
+        layers = [ConvLayer(name=name, kind=kind, **shape)
+                  for name, kind in (("first", "conv"), ("second", "fc"),
+                                     ("third", "pointwise"))]
+        network = Network(name="TagNet", entries=tuple(
+            LayerRepetition(layer=layer,
+                            consumes_previous_output=(index > 0))
+            for index, layer in enumerate(layers)))
+        jobs = [make_job(network, config) for config in _small_configs(2)]
+
+        serial = run_jobs(jobs, cache=EvaluationCache())
+        pooled_cache = EvaluationCache()
+        pooled = run_jobs(jobs, workers=2, cache=pooled_cache)
+        assert pooled_cache.planner.phase1_tasks == 2  # one per config
+        # Warm replays: whole results, and layer entries alone (every
+        # layer read comes from the entry the pool stored).
+        replayed = run_jobs(jobs, cache=pooled_cache)
+        layers_only = pooled_cache.snapshot()
+        layers_only["results"] = {}
+        rebuilt = run_jobs(jobs, cache=EvaluationCache.from_snapshot(
+            layers_only))
+
+        paths = {"serial": serial, "pooled": pooled,
+                 "replayed": replayed, "rebuilt": rebuilt}
+        for path, results in paths.items():
+            for evaluation in results:
+                got = [layer_eval.layer for layer_eval, _count
+                       in evaluation.layers]
+                # ``ConvLayer.__eq__`` ignores ``kind``: compare each tag.
+                assert [layer.name for layer in got] \
+                    == [layer.name for layer in layers], path
+                assert [layer.kind for layer in got] \
+                    == [layer.kind for layer in layers], path
+        reference = [network_evaluation_to_dict(result) for result in serial]
+        for path, results in paths.items():
+            assert [network_evaluation_to_dict(result)
+                    for result in results] == reference, path
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,7 +17,8 @@ registering, with no new test code:
   evaluations;
 * the sub-task seams agree with the evaluation path: enumerated tasks
   warm exactly the entries ``evaluate_network`` looks up, and layer
-  names never change the numbers (the planner's rename-dedup contract).
+  names never change the numbers (the contract that lets same-shape
+  layers share one shape-keyed store entry).
 """
 
 import dataclasses
@@ -261,8 +262,9 @@ class TestSubTaskSeams:
         assert all(kind == "layer" for kind in kinds[last_mapper + 1:])
 
     def test_layer_name_does_not_affect_numbers(self, entry):
-        """The rename-dedup contract: two layers differing only in name
-        evaluate to dicts identical in everything but that name."""
+        """The shape-keyed store contract: two layers differing only in
+        name evaluate to dicts identical in everything but that name, so
+        they may share one store entry."""
         layer_a = LAYERS[0]
         layer_b = dataclasses.replace(layer_a, name="renamed")
         system = entry.system_type(entry.config_type())
@@ -270,7 +272,7 @@ class TestSubTaskSeams:
         dict_b = layer_evaluation_to_dict(system.evaluate_layer(layer_b))
         dict_b["layer"]["name"] = layer_a.name
         assert dict_a == dict_b
-        assert system.sub_task_dedup_key(SubTask(kind="layer",
+        assert system.sub_task_store_key(SubTask(kind="layer",
                                                  layer=layer_a)) \
-            == system.sub_task_dedup_key(SubTask(kind="layer",
+            == system.sub_task_store_key(SubTask(kind="layer",
                                                  layer=layer_b))
