@@ -209,9 +209,10 @@ class _StoragePlan:
     def __init__(self, node: StorageLevel, layer: ConvLayer,
                  outermost: Dict[DataSpace, str]) -> None:
         self.name = node.name
-        # list() preserves the frozenset's iteration order, keeping float
-        # accumulation order identical to iterating node.dataspaces.
-        ds_list = list(node.dataspaces)
+        # Canonical ALL_DATASPACES order, never the frozenset's: that
+        # follows PYTHONHASHSEED, and so would the order of the energy
+        # entries and of the float sums over them.
+        ds_list = [ds for ds in ALL_DATASPACES if ds in node.dataspaces]
         self.ds_widths = [
             (ds, layer.bits_per_weight if ds is DataSpace.WEIGHTS
              else layer.bits_per_activation)
@@ -244,7 +245,8 @@ class _ConverterPlan:
 
     def __init__(self, node: ConverterStage) -> None:
         self.name = node.name
-        self.visits = [(ds, _FLOW_INDEX[ds]) for ds in node.dataspaces]
+        self.visits = [(ds, _FLOW_INDEX[ds]) for ds in ALL_DATASPACES
+                       if ds in node.dataspaces]
 
 
 class SearchContext:

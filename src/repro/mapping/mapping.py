@@ -242,8 +242,9 @@ class Mapping:
         loops, loop order, and fanout-factor insertion order all
         distinguish — two mappings share a structure key iff they are
         field-for-field identical (the discrimination ``repr`` gives,
-        built without rendering strings).  Reference-mapping builders use
-        this to deduplicate the variants they enumerate.
+        built without rendering strings).  No reference-mapping candidate
+        list holds two mappings with one structure key: the builders
+        enumerate by decision, so they never build a duplicate.
         """
         return (
             tuple(

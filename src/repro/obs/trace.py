@@ -39,6 +39,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 __all__ = [
@@ -286,10 +287,11 @@ class Trace:
     def __init__(self, events: List[Dict[str, Any]],
                  aggregates: Optional[Dict[str, Tuple[float, float]]] = None,
                  main_tid: Optional[int] = None) -> None:
-        self.events = sorted(
-            events,
-            key=lambda event: (event["ts"], str(event["tid"]),
-                               -event["dur"], event["name"]))
+        key: Any = itemgetter("ts")  # exact unless two events start together
+        if len({event["ts"] for event in events}) < len(events):
+            key = lambda event: (event["ts"], str(event["tid"]),  # noqa: E731
+                                 -event["dur"], event["name"])
+        self.events = sorted(events, key=key)
         self.aggregates = dict(aggregates or {})
         self.main_tid = main_tid
 

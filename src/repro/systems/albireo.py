@@ -58,6 +58,7 @@ from repro.systems.base import PhotonicSystem
 from repro.systems.refmap import (
     GB_ORDER,
     FactorTaker,
+    distinct_dram_protections,
     dram_order_protecting,
     shrink_to_fit,
     temporal_loops,
@@ -477,24 +478,17 @@ def albireo_reference_mapping(
     :func:`albireo_mapping_candidates` enumerates the sensible combinations
     so a system can keep whichever prices cheapest.
     """
-    return _albireo_assemble(
-        layer,
-        _albireo_mapping_pieces(config, layer, channel_mode,
-                                integrator_mode),
-        dram_protects)
+    allocation = _albireo_allocation(config, layer, channel_mode,
+                                     integrator_mode)
+    pieces = _albireo_mapping_pieces(config, layer, allocation)
+    return _albireo_assemble(layer, pieces, dram_protects)
 
 
-def _albireo_mapping_pieces(
-    config: AlbireoConfig,
-    layer: ConvLayer,
-    channel_mode: str,
-    integrator_mode: str,
-) -> Tuple:
-    """Everything about the reference mapping that does not depend on
-    ``dram_protects`` — the expensive factor allocation, computed once
-    and shared across the DRAM-permutation variants (the three protection
-    choices reorder the same DRAM loops; see
-    :func:`albireo_mapping_candidates`)."""
+def _albireo_allocation(config: AlbireoConfig, layer: ConvLayer,
+                        channel_mode: str, integrator_mode: str) -> Tuple:
+    """The cheap half of the reference mapping: the greedy factor takes.
+    The channel mode reaches the result only through ``c_sp`` and the
+    integrator mode only through the integrator factors."""
     taker = FactorTaker(layer)
 
     # --- Spatial assignment, inner fanouts first -----------------------
@@ -507,6 +501,21 @@ def _albireo_mapping_pieces(
     cluster_factors = taker.take_budgeted((Dim.M, Dim.Q, Dim.P, Dim.N),
                                           config.clusters)
 
+    # --- AE integrator accumulation up to its budget --------------------
+    integrator_factors: Dict[Dim, int] = {}
+    if integrator_mode != "off":
+        integrator_factors = taker.take_budgeted(
+            (Dim.C, Dim.R, Dim.S), config.or_temporal, mode=integrator_mode)
+    return (taker, (r_sp, s_sp, c_sp, m_star, q_lane), cluster_factors,
+            integrator_factors)
+
+
+def _albireo_mapping_pieces(config: AlbireoConfig, layer: ConvLayer,
+                            allocation: Tuple) -> Tuple:
+    """The expensive half: buffer-tile shrink, residual, and the fanout
+    and level objects every ``dram_protects`` variant shares."""
+    (taker, (r_sp, s_sp, c_sp, m_star, q_lane), cluster_factors,
+     integrator_factors) = allocation
     spatials = (
         FanoutMapping("clusters", cluster_factors),
         FanoutMapping("weight_lanes",
@@ -524,12 +533,6 @@ def _albireo_mapping_pieces(
     }
     for dim, factor in cluster_factors.items():
         spatial_cum[dim] = spatial_cum.get(dim, 1) * factor
-
-    # --- AE integrator accumulation up to its budget --------------------
-    integrator_factors: Dict[Dim, int] = {}
-    if integrator_mode != "off":
-        integrator_factors = taker.take_budgeted(
-            (Dim.C, Dim.R, Dim.S), config.or_temporal, mode=integrator_mode)
 
     # --- Global-buffer tile: shrink until it fits -----------------------
     gb_factors = shrink_to_fit(
@@ -569,23 +572,28 @@ def albireo_mapping_candidates(config: AlbireoConfig,
 
     Covers the layer-dependent trade-offs: padded-vs-exact wavelength
     splits, analog integration depth on/exact/full, and which tensor the
-    DRAM loop order protects.  The factor allocation is computed once per
-    (channel, integrator) mode pair and shared by the three protection
-    variants, which differ only in DRAM loop order.  Deduplicated;
-    typically 4-8 distinct mappings.
+    DRAM loop order protects.  Every mode pair runs the cheap allocation;
+    a pair is finished only when its (``c_sp``, integrator factors)
+    decision is new, and assembled once per distinct DRAM loop nest.
+    The 34 ResNet18/AlexNet/LeNet-5 layers at 1 and 2 MiB (68 pairs)
+    give 124 mappings: 1-2 per pair of the 18 combinations.
     """
     candidates: List[Mapping] = []
-    seen = set()
+    decisions = set()
     for channel_mode in ("fill", "divisor"):
         for integrator_mode in ("divisor", "fill", "off"):
-            pieces = _albireo_mapping_pieces(config, layer, channel_mode,
+            allocation = _albireo_allocation(config, layer, channel_mode,
                                              integrator_mode)
-            for dram_protects in ("weights", "inputs", "outputs"):
-                mapping = _albireo_assemble(layer, pieces, dram_protects)
-                key = mapping.structure_key()
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(mapping)
+            _, (_, _, c_sp, _, _), _, integrator_factors = allocation
+            decision = (c_sp, tuple(integrator_factors.items()))
+            if decision in decisions:
+                continue
+            decisions.add(decision)
+            pieces = _albireo_mapping_pieces(config, layer, allocation)
+            candidates.extend(
+                _albireo_assemble(layer, pieces, dram_protects)
+                for dram_protects in distinct_dram_protections(
+                    layer, pieces[1]))
     return candidates
 
 

@@ -48,7 +48,7 @@ from repro import obs
 from repro.arch.hierarchy import Architecture
 from repro.energy.table import EnergyTable
 from repro.exceptions import SpecError
-from repro.mapping.analysis import HAVE_NUMPY, SearchContext
+from repro.mapping.analysis import SearchContext
 from repro.mapping.constraints import MappingConstraints
 from repro.mapping.mapper import Mapper, MapperResult
 from repro.mapping.mapping import Mapping
@@ -227,7 +227,8 @@ class PhotonicSystem(abc.ABC):
         cached = self._mapping_cache.get(key)
         if cached is not None:
             return cached
-        candidates = list(self.mapping_candidates(target))
+        with obs.span("refmap.candidates", layer=target.name):
+            candidates = list(self.mapping_candidates(target))
         if len(candidates) == 1:
             # Deterministic single-variant systems skip pricing entirely.
             best_mapping: Optional[Mapping] = candidates[0]
@@ -241,26 +242,6 @@ class PhotonicSystem(abc.ABC):
                 # tilings/permutations, so the memoized nest geometry
                 # (tile sizes, fill events) hits across them.
                 context = SearchContext.for_layer(self.architecture, target)
-                if HAVE_NUMPY:
-                    # Batched pricing over the candidate axis; invalid
-                    # candidates come back as None.  Bit-identical to the
-                    # scalar loop below (same first-minimal scan).
-                    survivors = []
-                    for mapping in candidates:
-                        try:
-                            mapping.validate(self.architecture, target)
-                        except Exception:  # invalid candidate
-                            continue
-                        survivors.append(mapping)
-                    costs = self.model.batch_energy_pj(target, survivors,
-                                                       context)
-                    candidates = []
-                    for mapping, cost in zip(survivors, costs):
-                        if cost is None:
-                            continue
-                        if cost < best_cost:
-                            best_cost = cost
-                            best_mapping = mapping
                 for mapping in candidates:
                     try:
                         cost = self.model.evaluate_layer(

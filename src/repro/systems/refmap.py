@@ -11,6 +11,10 @@ between :mod:`~repro.systems.albireo` and :mod:`~repro.systems.crossbar`
 — so a new system's reference mapping is a short declarative script over
 the toolkit rather than a 100-line re-derivation.
 
+A system pricing several variants builds each distinct one once: it
+finishes a mode only when the mode changes a factor it takes, and
+assembles one mapping per :func:`distinct_dram_protections` entry.
+
 The helpers are exact ports of the originals: systems built on them
 produce byte-identical mappings (and therefore byte-identical figure
 outputs) to the pre-toolkit code.
@@ -18,7 +22,7 @@ outputs) to the pre-toolkit code.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping as TMapping, Sequence, Tuple
+from typing import Dict, List, Mapping as TMapping, Sequence, Tuple
 
 from repro.mapping.factorization import ceil_div, largest_divisor_at_most
 from repro.mapping.mapper import _largest_fitting_factor
@@ -170,6 +174,20 @@ def dram_order_protecting(layer: ConvLayer,
     if protects == "outputs":
         return (Dim.N, Dim.P, Dim.Q, Dim.M, Dim.C, Dim.R, Dim.S)
     return (Dim.R, Dim.S, Dim.C, Dim.Q, Dim.P, Dim.N, Dim.M)
+
+
+def distinct_dram_protections(layer: ConvLayer,
+                              dram_factors: TMapping[Dim, int]) -> List[str]:
+    """The DRAM protections whose loop nests differ, in ``"weights"``,
+    ``"inputs"``, ``"outputs"`` order.  Orders that differ only in bound-1
+    dims emit the same loops, so assembling one mapping per returned
+    protection builds each distinct DRAM variant exactly once."""
+    nests: Dict[Tuple[Dim, ...], str] = {}
+    for protects in ("weights", "inputs", "outputs"):
+        order = dram_order_protecting(layer, protects)
+        nests.setdefault(tuple(dim for dim in order
+                               if dram_factors.get(dim, 1) > 1), protects)
+    return list(nests.values())
 
 
 #: The buffer-level permutation every system uses: reduction dims

@@ -66,6 +66,7 @@ from repro.systems.refmap import (
     GB_ORDER,
     FactorTaker,
     combined_bounds,
+    distinct_dram_protections,
     dram_order_protecting,
     shrink_to_fit,
     temporal_loops,
@@ -502,17 +503,23 @@ def wdm_delay_mapping_candidates(config: WdmDelayConfig,
                                  layer: ConvLayer) -> List[Mapping]:
     """The reference-mapping variants worth pricing for one layer:
     padded-vs-exact wavelength splits crossed with the DRAM protection
-    choice.  Deduplicated; typically 2-6 distinct mappings."""
+    choice.  The exact split is built only when it takes another
+    wavelength factor, and each split is assembled once per distinct DRAM
+    loop nest.  The 34 ResNet18/AlexNet/LeNet-5 layers at 1 and 2 MiB (68
+    pairs) give 73 mappings: 1-2 per pair of the 6 combinations."""
     candidates: List[Mapping] = []
-    seen = set()
+    channel_factors = set()
     for channel_mode in ("fill", "divisor"):
+        c_sp = FactorTaker(layer).take(Dim.C, config.wavelengths,
+                                       mode=channel_mode)
+        if c_sp in channel_factors:
+            continue
+        channel_factors.add(c_sp)
         pieces = _wdm_delay_mapping_pieces(config, layer, channel_mode)
-        for dram_protects in ("weights", "inputs", "outputs"):
-            mapping = _wdm_delay_assemble(layer, pieces, dram_protects)
-            key = mapping.structure_key()
-            if key not in seen:
-                seen.add(key)
-                candidates.append(mapping)
+        candidates.extend(
+            _wdm_delay_assemble(layer, pieces, dram_protects)
+            for dram_protects in distinct_dram_protections(layer,
+                                                           pieces[1]))
     return candidates
 
 

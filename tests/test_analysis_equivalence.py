@@ -673,16 +673,3 @@ class TestBatchedAnalyzerEquivalence:
                 batched.pruned_early) \
             == (scalar.evaluated, scalar.valid, scalar.deduplicated,
                 scalar.pruned_early)
-
-    def test_reference_mapping_batched_equals_scalar(self, monkeypatch):
-        """System reference-mapping selection picks the same mapping with
-        the batched pricing path disabled."""
-        import repro.systems.base as systems_base
-
-        layer = RESNET_LAYERS[1]
-        picked = {}
-        for disabled in (False, True):
-            monkeypatch.setattr(systems_base, "HAVE_NUMPY", not disabled)
-            fresh = AlbireoSystem(AlbireoConfig())
-            picked[disabled] = fresh.reference_mapping(layer).canonical_key()
-        assert picked[False] == picked[True]

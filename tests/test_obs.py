@@ -123,6 +123,9 @@ class TestTrace:
         # Sorted by start time, then lane, then longest-first.
         assert [event["name"] for event in forward.events] \
             == ["a", "d", "b", "c"]
+        untied = Trace([_event("y", 2.0, 1.0, tid=1),
+                        _event("x", 1.0, 5.0, tid=2)], main_tid=1)
+        assert [event["name"] for event in untied.events] == ["x", "y"]
 
     def test_summary_totals(self):
         trace = Trace([_event("a", 0.0, 10.0, tid=1),
@@ -205,7 +208,8 @@ class TestEngineTracing:
         assert serial.to_records() == parallel.to_records()
         # The compute-path spans appear in both timelines; dispatch
         # machinery differs by design (serial has no pool/planner).
-        compute = {"layer.evaluate", "system.build", "run_jobs"}
+        compute = {"layer.evaluate", "refmap.candidates", "system.build",
+                   "run_jobs"}
         assert compute <= serial_names
         assert compute <= parallel_names
         assert {"planner.build_plan", "executor.pool_spawn",
