@@ -64,7 +64,6 @@ from repro.engine.executor import (
     CacheLike,
     FailurePolicy,
     JobFailure,
-    ProgressFn,
     run_jobs,
 )
 from repro.engine.pool import WorkerPool
@@ -412,8 +411,6 @@ class Study:
                 f"fields; options: {sorted(all_fields)}")
 
     def run(self, workers: int = 1, cache: CacheLike = None,
-            plan: Optional[bool] = None,
-            progress: Optional[ProgressFn] = None,
             trace: Union[bool, str, "obs.Tracer", None] = None,
             pool: Optional[WorkerPool] = None,
             failure_policy: Optional[FailurePolicy] = None,
@@ -422,16 +419,16 @@ class Study:
         """Compile and execute through the engine; returns a
         :class:`~repro.api.results.ResultSet` in lattice order.
 
-        ``workers``/``cache``/``plan`` are the engine's knobs: process
-        pool size, persistent :class:`~repro.engine.cache.EvaluationCache`
-        (or directory path), and the two-phase planner toggle.
+        ``workers``/``cache`` are the engine's knobs: process pool size
+        and persistent :class:`~repro.engine.cache.EvaluationCache` (or
+        directory path).
 
         ``pool`` reuses a caller-owned persistent
         :class:`~repro.engine.pool.WorkerPool` across runs: its workers
-        stay warm between studies and receive only the cache entries they
-        have not seen yet (the delta-sync protocol), eliminating the
-        per-run spawn and snapshot cost.  The caller closes the pool
-        (or uses it as a context manager).
+        stay warm between studies (architecture builds, search
+        contexts), eliminating the per-run spawn cost.  They hold no
+        cache state; each batch carries the few cached entries it reads.
+        The caller closes the pool (or uses it as a context manager).
 
         ``trace`` turns on :mod:`repro.obs` span collection for this run:
         ``True`` collects, a string path additionally writes the Chrome
@@ -454,9 +451,8 @@ class Study:
         evaluation service uses to stream NDJSON records and the CLI
         uses for ``--progress`` lines.
         """
-        engine = dict(workers=workers, cache=cache, progress=progress,
-                      plan=plan, pool=pool, failure_policy=failure_policy,
-                      inject=inject)
+        engine = dict(workers=workers, cache=cache, pool=pool,
+                      failure_policy=failure_policy, inject=inject)
         if trace is None or trace is False:
             return ResultSet(self._execute(self.compile(), on_record,
                                            engine))

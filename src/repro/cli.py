@@ -24,11 +24,12 @@ choices come from :mod:`repro.systems.registry`, ``--network`` choices
 from :func:`repro.workloads.network_names`, and ``--scenario`` choices
 from :data:`repro.energy.scaling.SCENARIOS`.  Sweep-shaped commands
 (``fig4``, ``fig5``, ``sweep``, ``run``, ``compare``, ``all``) accept
-``--workers N`` (process-pool evaluation), ``--cache DIR`` (persistent
-memoization across invocations), and ``--no-plan`` (whole-job dispatch as
-an A/B baseline for the two-phase scheduler).  ``sweep``, ``compare``,
-and ``run`` accept ``--json PATH`` to dump their tagged result records
-for downstream tooling.
+``--workers N`` (process-pool evaluation through the two-phase
+scheduler) and ``--cache DIR`` (persistent memoization across
+invocations); ``--keep-pool`` keeps one warm worker pool across a
+multi-spec ``repro run``.  ``sweep``, ``compare``, and ``run`` accept
+``--json PATH`` to dump their tagged result records for downstream
+tooling.
 
 ``repro run spec.json`` executes any study expressible as data — systems
 x networks x scenarios x grid overrides x batching x fusion — through
@@ -127,15 +128,11 @@ def _flag_pool(parser: argparse.ArgumentParser) -> None:
              "(reused and extended by later runs)",
     )
     parser.add_argument(
-        "--no-plan", action="store_true",
-        help="disable the two-phase sweep scheduler and dispatch whole "
-             "jobs to workers (A/B baseline; results are identical)",
-    )
-    parser.add_argument(
         "--keep-pool", action="store_true", dest="keep_pool",
         help="keep one persistent worker pool warm across the command's "
              "runs (multi-spec `repro run`): workers are spawned once and "
-             "receive only cache entries they have not seen yet",
+             "keep their architecture builds and search contexts; each "
+             "batch carries the few cached mapper entries it reads",
     )
 
 
@@ -219,10 +216,6 @@ _FLAG_GROUPS = {
 }
 
 
-def _plan(args: argparse.Namespace) -> Optional[bool]:
-    return False if getattr(args, "no_plan", False) else None
-
-
 def _failure_policy(args: argparse.Namespace):
     """The ``--on-error``/``--retries``/``--task-timeout`` flags as a
     :class:`~repro.engine.executor.FailurePolicy` — or ``None`` when
@@ -286,21 +279,21 @@ def _cmd_fig4(args) -> None:
     from repro.experiments import fig4_memory
 
     print(fig4_memory.run(use_mapper=args.mapper, workers=args.workers,
-                          cache=args.cache, plan=_plan(args)).table())
+                          cache=args.cache).table())
 
 
 def _cmd_fig5(args) -> None:
     from repro.experiments import fig5_reuse
 
     print(fig5_reuse.run(use_mapper=args.mapper, workers=args.workers,
-                         cache=args.cache, plan=_plan(args)).table())
+                         cache=args.cache).table())
 
 
 def _cmd_all(args) -> None:
     from repro.experiments import run_all
 
     print(run_all(use_mapper=args.mapper, workers=args.workers,
-                  cache=args.cache, plan=_plan(args)).report())
+                  cache=args.cache).report())
 
 
 def _cmd_compare(args) -> None:
@@ -313,7 +306,7 @@ def _cmd_compare(args) -> None:
     mapper_stats_before = cache.mapper_search_stats()
     result = system_comparison.run(
         use_mapper=args.mapper, systems=systems,
-        workers=args.workers, cache=cache, plan=_plan(args))
+        workers=args.workers, cache=cache)
     print(result.table(), file=_table_stream(args))
     _dump_json(args, result.to_records(),
                stats=_stats_dict(cache, mapper_stats_before))
@@ -382,7 +375,7 @@ def _run_study(study, args, cache=None, pool=None):
     on_record = (_progress_printer if getattr(args, "progress", False)
                  else None)
     results = study.run(workers=args.workers, cache=cache,
-                        plan=_plan(args), on_record=on_record, pool=pool,
+                        on_record=on_record, pool=pool,
                         failure_policy=_failure_policy(args),
                         inject=getattr(args, "inject", None))
     return results, cache, mapper_stats_before
@@ -425,7 +418,7 @@ def _stats_lines(cache, mapper_stats_before) -> List[str]:
 def _stats_dict(cache, mapper_stats_before, pool=None) -> Optional[dict]:
     """The ``--json`` stats record: per-namespace cache hits/misses,
     planner dedup counters, this run's fresh mapper-search totals, and
-    (when a persistent pool was used) the pool's spawn/delta counters."""
+    (when a persistent pool was used) the pool's counters."""
     if cache is None:
         return None
     mapper_stats = {
@@ -498,7 +491,7 @@ def _cmd_run(args) -> None:
 
     Multiple specs share one evaluation cache; with ``--keep-pool`` they
     also share one persistent worker pool, so later specs reuse warm
-    workers and ship only the cache entries those workers have not seen.
+    workers instead of spawning new ones.
     """
     from repro.api import Study, WorkerPool
     from repro.engine import EvaluationCache
@@ -529,9 +522,8 @@ def _cmd_run(args) -> None:
         stats = pool.stats
         lines.append(
             f"pool: {stats.spawns} spawns, {stats.dispatches} dispatches "
-            f"({stats.batches} batches), {stats.delta_syncs} delta syncs "
-            f"shipping {stats.delta_entries} warm entries, "
-            f"{stats.epoch_resets} epoch resets")
+            f"({stats.batches} batches), {stats.dep_entries} cached "
+            f"mapper entries shipped")
     print("\n".join(lines), file=_table_stream(args))
     _dump_json(args, records,
                stats=_stats_dict(cache, mapper_stats_before, pool=pool))

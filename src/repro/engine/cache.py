@@ -34,7 +34,6 @@ processes.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -177,12 +176,6 @@ class ResilienceStats:
             "respawns": self.respawns,
         }
 
-    def absorb(self, counts: Dict[str, Any]) -> None:
-        self.retries += int(counts.get("retries", 0))
-        self.timeouts += int(counts.get("timeouts", 0))
-        self.quarantines += int(counts.get("quarantines", 0))
-        self.respawns += int(counts.get("respawns", 0))
-
     def describe(self) -> str:
         return (f"resilience: {self.retries} retries, "
                 f"{self.timeouts} timeouts, "
@@ -219,8 +212,7 @@ class EvaluationCache:
     def __init__(self, directory: Optional[str] = None,
                  backend: str = "sharded",
                  max_entries: Budget = None,
-                 max_bytes: Budget = None,
-                 load_namespaces: Optional[Iterable[str]] = None) -> None:
+                 max_bytes: Budget = None) -> None:
         if backend not in ("sharded", "auto", "legacy"):
             raise ValueError(f"unknown cache backend {backend!r}; "
                              f"options: 'sharded', 'legacy'")
@@ -231,7 +223,6 @@ class EvaluationCache:
                                              for ns in NAMESPACES}
         self.planner = PlannerStats()
         self.resilience = ResilienceStats()
-        self._epoch = 0
         self._store: Optional[ShardedStore] = None
         self._loaded_shards: Set[str] = set()
         self._touched: Dict[str, Set[str]] = {ns: set() for ns in NAMESPACES}
@@ -245,43 +236,12 @@ class EvaluationCache:
             else:
                 self._store = ShardedStore(
                     directory, NAMESPACES,
-                    load_namespaces=load_namespaces,
                     max_entries=max_entries, max_bytes=max_bytes)
 
     @property
     def store(self) -> Optional[ShardedStore]:
         """The sharded disk backend (``None`` for in-memory/legacy)."""
         return self._store
-
-    @property
-    def epoch(self) -> int:
-        """Generation counter, bumped whenever entries are dropped.
-
-        Entries are only ever *added* within one epoch, and dict
-        insertion order is stable, so ``(epoch, per-namespace length)``
-        identifies a prefix of the cache's contents exactly — the basis
-        of the :class:`~repro.engine.pool.WorkerPool` delta protocol.
-        A bump invalidates every marker minted under the old epoch.
-        """
-        return self._epoch
-
-    def clear(self) -> None:
-        """Drop every in-memory entry and bump the epoch.
-
-        Persistent-pool workers hold warm copies of this cache; the
-        epoch bump is what tells the pool those copies are stale (it
-        reseeds workers from scratch on the next dispatch instead of
-        shipping an additive delta that couldn't express the removal).
-        On a sharded-store cache the disk entries are untouched (use
-        ``store.gc`` to shrink the disk) and become faultable again —
-        ``clear`` forgets unflushed additions and re-reads from disk.
-        """
-        self._epoch += 1
-        self._data = {ns: {} for ns in NAMESPACES}
-        self._added = {ns: {} for ns in NAMESPACES}
-        self._loaded_shards = set()
-        self._touched = {ns: set() for ns in NAMESPACES}
-        self._disk_mappings = set()
 
     # ------------------------------------------------------------------
     # Generic namespace access
@@ -291,9 +251,8 @@ class EvaluationCache:
 
         In-memory values win over their disk copies: a key present in
         both was put this session, and content-addressed keys make the
-        two interchangeable anyway.  Faulted entries join ``_data`` —
-        append-only, so live sync markers stay valid — but are never
-        marked added (they are already persisted).
+        two interchangeable anyway.  Faulted entries join ``_data`` but
+        are never marked added (they are already persisted).
         """
         store = self._store
         if store is None:
@@ -369,86 +328,12 @@ class EvaluationCache:
         self.put("results", key, value)
 
     # ------------------------------------------------------------------
-    # Worker-merge protocol
+    # Shipping entries between processes
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """The full entry image, for seeding worker processes."""
+        """The full in-memory entry image (a shallow copy per
+        namespace)."""
         return {ns: dict(entries) for ns, entries in self._data.items()}
-
-    def sync_marker(self) -> Tuple[int, Tuple[int, ...]]:
-        """An epoch-stamped position marker: ``(epoch, lengths)``.
-
-        Within one epoch entries are append-only and dicts preserve
-        insertion order, so the marker pins down exactly which entries a
-        reader holding it has seen — :meth:`entries_since` replays the
-        remainder.  Markers from an older epoch are unusable (the data
-        they described was dropped); holders must resync from a full
-        snapshot.
-        """
-        return (self._epoch,
-                tuple(len(self._data[ns]) for ns in NAMESPACES))
-
-    def entries_since(
-            self, marker: Tuple[int, Tuple[int, ...]],
-    ) -> Dict[str, Dict[str, Any]]:
-        """Entries added after ``marker`` (same-epoch markers only).
-
-        O(delta) via :func:`itertools.islice` over the insertion-ordered
-        dicts — no per-reader bookkeeping is kept on the cache itself.
-        """
-        epoch, lengths = marker
-        if epoch != self._epoch:
-            raise ValueError(
-                f"stale cache marker: epoch {epoch} != {self._epoch}")
-        delta: Dict[str, Dict[str, Any]] = {}
-        for namespace, seen in zip(NAMESPACES, lengths):
-            entries = self._data[namespace]
-            if len(entries) > seen:
-                fresh = itertools.islice(entries.items(), seen, None)
-                delta[namespace] = dict(fresh)
-        return delta
-
-    @classmethod
-    def from_snapshot(
-            cls, snapshot: Dict[str, Dict[str, Any]]) -> "EvaluationCache":
-        cache = cls()
-        for namespace in NAMESPACES:
-            cache._data[namespace].update(snapshot.get(namespace, {}))
-        return cache
-
-    def store_seed(self) -> Optional[Tuple[str, Dict[str, Dict[str, Any]]]]:
-        """The slim worker seed a sharded-store cache supports:
-        ``(directory, unflushed entries)``.
-
-        Everything already flushed is readable by the worker straight
-        from the shared store (lazily, shard by shard), so only the
-        entries added since the last save ride the wire — instead of
-        the full pickled image :meth:`snapshot` would ship.  Whole-job
-        ``results`` stay home either way (workers never read them).
-        Returns ``None`` when no sharded store is live.
-        """
-        if self._store is None:
-            return None
-        pending = {ns: dict(values)
-                   for ns, values in self._added.items()
-                   if ns != "results" and values}
-        return (self.directory, pending)
-
-    @classmethod
-    def from_store_seed(
-            cls, seed: Tuple[str, Dict[str, Dict[str, Any]]],
-    ) -> "EvaluationCache":
-        """Open a worker-side cache over the shared store directory.
-
-        Reads lazily from the same sharded store as the parent (skipping
-        the whole-job ``results`` namespace entirely) and adopts the
-        parent's unflushed entries; like every worker cache, it only
-        ever ships back what it computes itself (``pop_added``).
-        """
-        directory, pending = seed
-        cache = cls(directory, load_namespaces=("mappings", "layers"))
-        cache.adopt(pending)
-        return cache
 
     @property
     def dirty(self) -> bool:
@@ -480,9 +365,10 @@ class EvaluationCache:
     def adopt(self, entries: Dict[str, Dict[str, Any]]) -> None:
         """Merge entries *without* marking them added/dirty.
 
-        The worker side of the pool sync protocol: entries arriving from
-        the parent are already owned (and persisted) there, so a worker
-        adopting them must not re-ship them back with its own results.
+        How a pool worker seeds each batch's fresh cache with the
+        batch's deps (:attr:`~repro.engine.planner.TaskChunk.deps`):
+        those entries are already owned (and persisted) by the parent,
+        so the worker must not ship them back with its own results.
         """
         for namespace, values in entries.items():
             self._data[namespace].update(values)
@@ -504,8 +390,7 @@ class EvaluationCache:
     def reset_stats(self) -> None:
         """Zero every hit/miss counter and the planner counters.
 
-        Workers call this between payloads so each ships deltas only;
-        tests use it to scope assertions to one run.  Entries are
+        Tests use this to scope assertions to one run.  Entries are
         untouched — only the statistics reset.
         """
         for stats in self.stats.values():
@@ -516,18 +401,10 @@ class EvaluationCache:
             self._store.stats.reset()
 
     def absorb_stats(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
-        """Fold worker-side hit/miss (and store) counts into this
-        cache's statistics."""
+        """Fold a pool worker's per-namespace hit/miss counts into this
+        cache's statistics (a worker's batch cache has no store and no
+        resilience counters)."""
         for namespace, counts in snapshot.items():
-            if namespace == "store":
-                # Worker shard faults / lock waits against the shared
-                # store roll up into the parent's store counters.
-                if self._store is not None:
-                    self._store.stats.absorb(counts)
-                continue
-            if namespace == "resilience":
-                self.resilience.absorb(counts)
-                continue
             stats = self.stats[namespace]
             stats.hits += counts.get("hits", 0)
             stats.misses += counts.get("misses", 0)

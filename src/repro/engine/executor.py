@@ -8,7 +8,7 @@ returns evaluations in input order.  Parallel execution is verified (see
 execution: sub-results ship as JSON dicts whose floats round-trip
 exactly, and ordering is restored by index.
 
-Parallel batches run in two phases by default.  A planner
+Parallel batches run in two phases.  A planner
 (:mod:`repro.engine.planner`) expands the miss jobs into their unique
 mapper-search and layer-evaluation sub-tasks — deduplicated across the
 whole batch and against the cache — and phase 1 executes those over the
@@ -17,20 +17,16 @@ result message per chunk).  Phase 2 then assembles every
 :class:`~repro.model.results.NetworkEvaluation` in the parent from the
 now-warm cache: each job's result dict embeds its cached layer dicts
 verbatim, and decoding it sums only the network totals — the per-layer
-objects are built only if a caller reads ``layers``.  ``plan=False``
-forces the pre-planner behavior: each miss job evaluated whole by one
-worker.
+objects are built only if a caller reads ``layers``.
 
-Worker processes are seeded with a snapshot of the parent's cache, so
-mapper results already on disk are reused everywhere; entries a worker
-computes are shipped back and merged into the parent's cache (and saved,
-when the cache has a directory).  Workers do not see entries produced by
-*other* workers within the same run — the parent is the only writer,
-which keeps the on-disk image race-free; the planner's cross-batch dedup
-is what removes the duplicate work whole-job workers used to repeat.
+Workers hold no copy of the parent's cache: each chunk carries the
+cached mapper searches its tasks read, and the entries a worker computes
+are shipped back and merged into the parent's cache (and saved, when
+the cache has a directory).  The parent is the only writer, which keeps
+the on-disk image race-free.
 
 When a tracer is active (:mod:`repro.obs`), every phase of this module
-records spans — lookup, planning, snapshot, pool spawn, dispatch, merge,
+records spans — lookup, planning, pool spawn, dispatch, merge,
 assembly — and workers record their own lanes against the parent's clock
 epoch, shipping events back piggybacked on the existing result messages.
 With tracing disabled (the default) the span calls hit the shared no-op
@@ -62,29 +58,18 @@ from repro.engine.codec import (
 )
 from repro.engine.jobs import EvaluationJob, job_system_key, system_registry
 from repro.engine.planner import SweepPlan, build_plan
-from repro.engine.pool import (
-    WorkerPool,
-    default_signal_handlers,
-    pool_context,
-)
+from repro.engine.pool import WorkerPool
 from repro.model.results import (
     EnergyBreakdown,
     NetworkEvaluation,
 )
-
-#: Progress callback: (jobs finished, total jobs, job just worked on).
-#: Under planned parallel execution, phase-1 batch completions also tick
-#: the callback — with the finished count unchanged and a job of the
-#: batch's configuration — so long sweeps show liveness before any
-#: whole job is assembled.
-ProgressFn = Callable[[int, int, EvaluationJob], None]
 
 #: Per-record completion callback: ``(index, job, outcome)`` where
 #: ``outcome`` is the job's :class:`~repro.model.results.
 #: NetworkEvaluation` (or a :class:`JobFailure` under a capturing
 #: failure policy).  Invoked exactly once per job — the moment its
 #: result slot is assembled, on every execution path (cache hit, serial,
-#: planned parallel, whole-job parallel, quarantine, final failure) —
+#: planned parallel, quarantine, final failure) —
 #: in completion order, which is not necessarily input order.  This is
 #: the streaming seam: callers can forward each record while the rest
 #: of the batch is still computing.  An exception raised by the
@@ -212,11 +197,9 @@ def _compute_job(job: EvaluationJob,
     entry = system_registry()[job.system]
     with obs.span("job.compute", job=job.describe(), system=job.system):
         with obs.span("system.build", system=job.system):
-            if cache is not None and entry.supports_store:
-                store = SystemStore(cache, job_system_key(job))
-                system = entry.system_type(job.config, store=store)
-            else:
-                system = entry.system_type(job.config)
+            store = (SystemStore(cache, job_system_key(job))
+                     if cache is not None else None)
+            system = entry.system_type(job.config, store=store)
         evaluation = system.evaluate_network(
             job.network, fused=job.fused, use_mapper=job.use_mapper)
         if not job.include_dram:
@@ -238,42 +221,6 @@ def run_job(job: EvaluationJob,
     return _compute_job(job, cache)
 
 
-# ---------------------------------------------------------------------------
-# Worker-process plumbing
-# ---------------------------------------------------------------------------
-
-_WORKER_CACHE: Optional[EvaluationCache] = None
-
-
-def _init_worker(snapshot: Optional[Dict[str, Dict[str, Any]]],
-                 obs_config=None) -> None:
-    """Pool initializer: restore default signal handling, seed the
-    worker cache and (when the parent is tracing) open a trace lane on
-    the parent's timeline.
-
-    With the fork start method the worker inherits the parent's active
-    tracer object — including already-recorded events — so tracing is
-    always re-initialized here: a fresh worker-lane tracer when the
-    parent shipped its clock config, the null tracer otherwise (never
-    the inherited copy, which would double-report the parent's events).
-    """
-    global _WORKER_CACHE
-    default_signal_handlers()
-    _WORKER_CACHE = (EvaluationCache.from_snapshot(snapshot)
-                     if snapshot is not None else None)
-    if obs_config is not None:
-        obs.activate(obs.Tracer.for_worker(obs_config))
-    else:
-        obs.deactivate()
-
-
-def _drain_worker_trace() -> Optional[Dict[str, Any]]:
-    """The worker's trace events since the last message (None when
-    tracing is off, so untraced messages stay exactly as lean)."""
-    tracer = obs.current_tracer()
-    return tracer.drain() if tracer.enabled else None
-
-
 def _guarded_compute(job: EvaluationJob,
                      cache: Optional[EvaluationCache],
                      guard, attempt: int) -> NetworkEvaluation:
@@ -290,31 +237,6 @@ def _guarded_compute(job: EvaluationJob,
         return _compute_job(job, cache)
 
 
-def _run_job_in_worker(payload):
-    """Execute one (index, job, guard, attempt) payload; ship the result
-    (or, under a capturing guard, the failure) + new cache entries back."""
-    index, job, guard, attempt = payload
-    cache = _WORKER_CACHE
-    failure = None
-    result_dict = None
-    try:
-        result_dict = network_evaluation_to_dict(
-            _guarded_compute(job, cache, guard, attempt))
-    except Exception as error:
-        if guard is None or not guard[1]:  # not capturing: fail-stop
-            raise
-        failure = (type(error).__name__, str(error))
-    if cache is not None:
-        added = cache.pop_added()
-        stats = cache.stats_snapshot()
-        # Reset so the next job on this worker reports deltas only.
-        cache.reset_stats()
-    else:
-        added, stats = {}, {}
-    return (index, result_dict, added, stats, _drain_worker_trace(),
-            failure)
-
-
 # ---------------------------------------------------------------------------
 # Batch execution
 # ---------------------------------------------------------------------------
@@ -324,8 +246,6 @@ def run_jobs(
     jobs: Sequence[EvaluationJob],
     workers: int = 1,
     cache: CacheLike = None,
-    progress: Optional[ProgressFn] = None,
-    plan: Optional[bool] = None,
     pool: Optional[WorkerPool] = None,
     failure_policy: Optional[FailurePolicy] = None,
     inject: Any = None,
@@ -333,24 +253,19 @@ def run_jobs(
 ) -> List[Union[NetworkEvaluation, JobFailure]]:
     """Evaluate ``jobs``; results come back in input order.
 
-    ``workers=1`` runs in-process.  ``workers>1`` evaluates cache misses
-    over a ``multiprocessing`` pool; results are bit-identical to the
-    serial path.  ``cache`` may be an :class:`EvaluationCache`, a
-    directory path (opened as a sharded store inside it — see
-    :mod:`repro.engine.store` — safe to share between concurrent
-    processes), or ``None``.
-
-    ``plan`` controls the parallel strategy: the default (``None`` or
-    ``True``) schedules the batch through the two-phase planner whenever
-    every miss job's system supports it (see module docstring), falling
-    back to whole-job dispatch otherwise; ``plan=False`` forces whole-job
-    dispatch.  Serial execution ignores ``plan`` — the in-process cache
-    already shares sub-results as it goes.
+    ``workers=1`` runs in-process, sharing sub-results through the
+    cache as it goes.  ``workers>1`` plans the cache misses into unique
+    sub-tasks, runs them over a ``multiprocessing`` pool and assembles
+    the results in the parent (see the module docstring); results are
+    bit-identical to the serial path.  ``cache`` may be an
+    :class:`EvaluationCache`, a directory path (opened as a sharded
+    store inside it — see :mod:`repro.engine.store` — safe to share
+    between concurrent processes), or ``None``.
 
     ``pool`` (a :class:`~repro.engine.pool.WorkerPool`) keeps the worker
-    processes — and their warm architecture builds and cache copies —
-    alive across calls; it implies the planner path at the pool's worker
-    count.  Without it each parallel call spins up an ephemeral pool.
+    processes — and their warm architecture builds and search contexts
+    — alive across calls, and runs at the pool's worker count.  Without
+    it each parallel call spins up an ephemeral pool.
 
     ``failure_policy`` (a :class:`FailurePolicy`) decides what happens
     when a job raises or exceeds its deadline; under ``"skip"`` or
@@ -365,9 +280,9 @@ def run_jobs(
 
     ``on_record`` (an :data:`OnRecordFn`) is invoked exactly once per
     job as its outcome slot is assembled — cache hits during lookup,
-    serial completions, parallel phase-2 assembly, whole-job worker
-    returns, quarantine pre-skips, and finalized failures alike — so
-    callers can stream results out while later jobs are still running.
+    serial completions, parallel phase-2 assembly, quarantine
+    pre-skips, and finalized failures alike — so callers can stream
+    results out while later jobs are still running.
     """
     cache = _as_cache(cache)
     if pool is not None:
@@ -376,7 +291,6 @@ def run_jobs(
     total = len(jobs)
     results: List[Optional[Union[NetworkEvaluation, JobFailure]]] = \
         [None] * total
-    done = 0
 
     policy = failure_policy
     fault_plan = faults.resolve_plan(inject)
@@ -403,11 +317,8 @@ def run_jobs(
                     misses.append(index)
                 else:
                     results[index] = network_evaluation_from_dict(cached)
-                    done += 1
                     if on_record is not None:
                         on_record(index, job, results[index])
-                    if progress is not None:
-                        progress(done, total, job)
         run_span.set("misses", len(misses))
 
         # Coordinates the cache has quarantined as poison are answered
@@ -427,21 +338,16 @@ def run_jobs(
                              f"attempts ({poison.get('error')}: "
                              f"{poison.get('message')})"),
                     attempts=0, quarantined=True)
-                done += 1
                 if on_record is not None:
                     on_record(index, jobs[index], results[index])
-                if progress is not None:
-                    progress(done, total, jobs[index])
             misses = screened
 
         remaining = misses
         attempt = 0
         while remaining:
             round_failures: Dict[int, Tuple[str, str]] = {}
-            done = _execute_round(jobs, remaining, results, cache,
-                                  workers, progress, plan, pool, done,
-                                  total, guard, attempt, round_failures,
-                                  on_record)
+            _execute_round(jobs, remaining, results, cache, workers, pool,
+                           guard, attempt, round_failures, on_record)
             if not round_failures:
                 break
             if cache is not None:
@@ -470,11 +376,8 @@ def run_jobs(
                     results[index] = JobFailure(
                         error=etype, message=message,
                         attempts=attempt + 1, quarantined=quarantined)
-                    done += 1
                     if on_record is not None:
                         on_record(index, jobs[index], results[index])
-                    if progress is not None:
-                        progress(done, total, jobs[index])
                 break
             delay = policy.backoff * (2 ** attempt)
             if cache is not None:
@@ -498,106 +401,71 @@ def _execute_round(
     results: List[Optional[Union[NetworkEvaluation, JobFailure]]],
     cache: Optional[EvaluationCache],
     workers: int,
-    progress: Optional[ProgressFn],
-    plan: Optional[bool],
     pool: Optional[WorkerPool],
-    done: int,
-    total: int,
     guard,
     attempt: int,
     round_failures: Dict[int, Tuple[str, str]],
     on_record: Optional[OnRecordFn] = None,
-) -> int:
+) -> None:
     """One (re)attempt at the given miss indices (see :func:`run_jobs`).
 
-    Picks the same planner / whole-job / serial strategy the pre-policy
-    executor did.  Under a capturing guard, a failing job lands in
-    ``round_failures`` as ``index -> (error type, message)`` instead of
-    raising; successful jobs fill ``results``, tick ``done``, and fire
-    ``on_record`` (failures do not — they are not final until the retry
-    loop gives up on them).
+    Runs the misses through the planner and the pool, or serially when
+    there is a single worker or a single miss.  Under a capturing guard,
+    a failing job lands in ``round_failures`` as ``index -> (error type,
+    message)`` instead of raising; successful jobs fill ``results`` and
+    fire ``on_record`` (failures do not — they are not final until the
+    retry loop gives up on them).
     """
     capture = guard is not None and guard[1]
     if workers > 1 and len(misses) > 1:
-        sweep_plan = None
-        work_cache = cache
-        if plan is not False:
-            # The planner needs a cache to dedup against and assemble
-            # from; a cache-less parallel run plans through a
-            # run-local one (discarded afterwards — results are what
-            # matters).
-            work_cache = (cache if cache is not None
-                          else EvaluationCache())
-            sweep_plan = build_plan([jobs[index] for index in misses],
-                                    work_cache, workers)
-        if sweep_plan is not None:
-            on_batch = None
-            if progress is not None:
-                representatives: Dict[str, EvaluationJob] = {}
-                for index in misses:
-                    representatives.setdefault(
-                        job_system_key(jobs[index]), jobs[index])
-                hits_done = done
-
-                def on_batch(batch):
-                    job = representatives.get(batch[0].system_key,
-                                              jobs[misses[0]])
-                    progress(hits_done, total, job)
-
-            failed_entries = _execute_phase1(
-                sweep_plan, work_cache, workers, on_batch=on_batch,
-                pool=pool, guard=guard, attempt=attempt)
-            # Phase 2: every sub-result is now warm — assembling the
-            # network evaluations is pure cache lookups, done in the
-            # parent so nothing is shipped twice.
-            fault_plan = (faults.FaultPlan.from_wire(guard[2])
-                          if guard is not None else None)
-            with obs.span("run_jobs.assemble", jobs=len(misses)):
-                recipes: Dict[Tuple, List[Tuple]] = {}
-                for index in misses:
-                    job = jobs[index]
-                    try:
-                        # Job-level injected faults (``...:job`` keys)
-                        # fire on every execution path — here, before
-                        # assembly short-circuits the work.
-                        if fault_plan is not None:
-                            fault_plan.check(faults.job_task_key(job),
-                                             attempt)
-                        result_dict = _assemble_job(job, work_cache,
-                                                    recipes,
-                                                    failed_entries)
-                        if result_dict is not None:
-                            work_cache.put_result(job.key, result_dict)
-                            results[index] = \
-                                network_evaluation_from_dict(result_dict)
-                        else:  # an entry is missing: evaluate normally
-                            results[index] = _guarded_compute(
-                                job, work_cache, guard, attempt)
-                    except _SubTaskFailed as failed:
-                        # A sub-task this job needs failed under the
-                        # guard.  Do NOT fall back to parent-side
-                        # compute — a timed-out task would just be
-                        # recomputed without its budget; route it
-                        # through the policy instead.
-                        round_failures[index] = (failed.error,
-                                                 failed.message)
-                        continue
-                    except Exception as error:
-                        if not capture:
-                            raise
-                        round_failures[index] = \
-                            (type(error).__name__, str(error))
-                        continue
-                    done += 1
-                    if on_record is not None:
-                        on_record(index, job, results[index])
-                    if progress is not None:
-                        progress(done, total, job)
-        else:
-            done = _run_whole_jobs(jobs, misses, results, cache,
-                                   workers, progress, done, total,
-                                   guard, attempt, round_failures,
-                                   on_record)
+        # The planner needs a cache to dedup against and assemble from;
+        # a cache-less parallel run plans through a run-local one
+        # (discarded afterwards — results are what matters).
+        work_cache = cache if cache is not None else EvaluationCache()
+        sweep_plan = build_plan([jobs[index] for index in misses],
+                                work_cache, workers)
+        failed_entries = _execute_phase1(sweep_plan, work_cache, workers,
+                                         pool=pool, guard=guard,
+                                         attempt=attempt)
+        # Phase 2: every sub-result is now warm — assembling the network
+        # evaluations is pure cache lookups, done in the parent so
+        # nothing is shipped twice.
+        fault_plan = (faults.FaultPlan.from_wire(guard[2])
+                      if guard is not None else None)
+        with obs.span("run_jobs.assemble", jobs=len(misses)):
+            recipes: Dict[Tuple, List[Tuple]] = {}
+            for index in misses:
+                job = jobs[index]
+                try:
+                    # Job-level injected faults (``...:job`` keys) fire
+                    # on every execution path — here, before assembly
+                    # short-circuits the work.
+                    if fault_plan is not None:
+                        fault_plan.check(faults.job_task_key(job), attempt)
+                    result_dict = _assemble_job(job, work_cache, recipes,
+                                                failed_entries)
+                    if result_dict is not None:
+                        work_cache.put_result(job.key, result_dict)
+                        results[index] = \
+                            network_evaluation_from_dict(result_dict)
+                    else:  # an entry is missing: evaluate normally
+                        results[index] = _guarded_compute(
+                            job, work_cache, guard, attempt)
+                except _SubTaskFailed as failed:
+                    # A sub-task this job needs failed under the guard.
+                    # Do NOT fall back to parent-side compute — a
+                    # timed-out task would just be recomputed without
+                    # its budget; route it through the policy instead.
+                    round_failures[index] = (failed.error, failed.message)
+                    continue
+                except Exception as error:
+                    if not capture:
+                        raise
+                    round_failures[index] = (type(error).__name__,
+                                             str(error))
+                    continue
+                if on_record is not None:
+                    on_record(index, job, results[index])
     else:
         with obs.span("run_jobs.serial", jobs=len(misses)):
             for index in misses:
@@ -610,12 +478,8 @@ def _execute_round(
                     round_failures[index] = (type(error).__name__,
                                              str(error))
                     continue
-                done += 1
                 if on_record is not None:
                     on_record(index, jobs[index], results[index])
-                if progress is not None:
-                    progress(done, total, jobs[index])
-    return done
 
 
 def _assembly_recipe(system: Any, job: EvaluationJob) -> List[Tuple]:
@@ -665,11 +529,7 @@ def _assemble_job(
     """
     from repro.model.accelerator import NetworkOptions
 
-    entry = system_registry()[job.system]
-    if not entry.supports_store \
-            or not hasattr(entry.system_type, "_layer_store_key"):
-        return None
-    system = entry.system_type(job.config)
+    system = system_registry()[job.system].system_type(job.config)
     if job.fused:
         # Same validation (and failure) the evaluation path applies.
         system.model._check_fusion_capacity(job.network,
@@ -713,18 +573,15 @@ def _execute_phase1(
     sweep_plan: SweepPlan,
     cache: EvaluationCache,
     workers: int,
-    on_batch: Optional[Callable[[Any], None]] = None,
     pool: Optional[WorkerPool] = None,
     guard=None,
     attempt: int = 0,
 ) -> Dict[str, Tuple[str, str]]:
     """Run the plan's unique sub-tasks over a pool; merge results.
 
-    ``on_batch`` (if given) is invoked with each batch as its results
-    are merged — the liveness hook behind the progress callback.  With a
-    caller-supplied :class:`WorkerPool` the workers (and their warm
-    state) survive this call; otherwise an ephemeral pool is spun up
-    and torn down here.
+    With a caller-supplied :class:`WorkerPool` the workers (and their
+    warm state) survive this call; otherwise an ephemeral pool of at
+    most one worker per batch is spun up and torn down here.
 
     ``guard``/``attempt`` ship the failure-policy/fault-injection
     context to the workers.  Returns the failed-entry map (store entry
@@ -742,7 +599,7 @@ def _execute_phase1(
                           else None)
             owned = pool is None
             if owned:
-                pool = WorkerPool(workers)
+                pool = WorkerPool(min(workers, len(sweep_plan.batches)))
             respawns_before = pool.stats.respawns
             try:
                 # The dispatch span's *self* time is the parent-side
@@ -752,7 +609,7 @@ def _execute_phase1(
                 # worker lanes — not parent overhead).
                 with obs.span("executor.dispatch",
                               batches=len(sweep_plan.batches)) as dispatch:
-                    stream = pool.run_batches(sweep_plan.batches, cache,
+                    stream = pool.run_batches(sweep_plan.batches,
                                               obs_config, guard=guard,
                                               attempt=attempt)
                     while True:
@@ -760,7 +617,7 @@ def _execute_phase1(
                             item = next(stream, None)
                         if item is None:
                             break
-                        index, added, stats, events, failed = item
+                        _index, added, stats, events, failed = item
                         with obs.span("executor.merge"):
                             cache.merge(added)
                             cache.absorb_stats(stats)
@@ -769,88 +626,9 @@ def _execute_phase1(
                             if failed:
                                 failed_entries.update(failed)
                         dispatch.add("messages")
-                        if on_batch is not None:
-                            on_batch(sweep_plan.batches[index])
             finally:
                 cache.resilience.respawns += (pool.stats.respawns
                                               - respawns_before)
                 if owned:
                     pool.close()
     return failed_entries
-
-
-def _run_whole_jobs(
-    jobs: List[EvaluationJob],
-    misses: List[int],
-    results: List[Optional[Union[NetworkEvaluation, JobFailure]]],
-    cache: Optional[EvaluationCache],
-    workers: int,
-    progress: Optional[ProgressFn],
-    done: int,
-    total: int,
-    guard=None,
-    attempt: int = 0,
-    round_failures: Optional[Dict[int, Tuple[str, str]]] = None,
-    on_record: Optional[OnRecordFn] = None,
-) -> int:
-    """The pre-planner parallel path: one whole job per worker task.
-
-    However the dispatch ends (finished, a fail-stop job error, a
-    raising callback, an interrupt), the executor cancels the jobs that
-    have not started and waits for the ones in flight.  No worker is
-    killed mid-reply, which could leave the result channel locked and
-    the shutdown waiting on it for ever.
-    """
-    # Imported here: only this path needs it, and it would add its own
-    # imports (logging among them) to every process's start-up.
-    import concurrent.futures
-
-    tracer = obs.current_tracer()
-    with obs.span("executor.wholejob", jobs=len(misses), workers=workers):
-        # Workers only read the mapper/layer namespaces (the parent
-        # already resolved whole-job hits), so don't ship them the
-        # possibly large results namespace.
-        snapshot = None
-        if cache is not None:
-            with obs.span("executor.snapshot"):
-                snapshot = cache.snapshot()
-                snapshot["results"] = {}
-        obs_config = tracer.worker_config() if tracer.enabled else None
-        executor = concurrent.futures.ProcessPoolExecutor(
-            min(workers, len(misses)), mp_context=pool_context(),
-            initializer=_init_worker, initargs=(snapshot, obs_config))
-        try:
-            with obs.span("executor.dispatch", jobs=len(misses)):
-                futures = [executor.submit(_run_job_in_worker,
-                                           (index, jobs[index], guard,
-                                            attempt))
-                           for index in misses]
-                for future in concurrent.futures.as_completed(futures):
-                    index, result_dict, added, stats, events, failure = \
-                        future.result()
-                    with obs.span("executor.merge"):
-                        if cache is not None:
-                            # ``added`` already contains the job's result
-                            # entry (workers put it before shipping),
-                            # plus any new mapper/layer entries — or, on
-                            # a failure, whatever partial sub-results
-                            # the job computed before dying (kept: a
-                            # retry resumes from them).
-                            cache.merge(added)
-                            cache.absorb_stats(stats)
-                        if events:
-                            tracer.absorb(events)
-                        if failure is None:
-                            results[index] = \
-                                network_evaluation_from_dict(result_dict)
-                    if failure is not None:
-                        round_failures[index] = failure
-                        continue
-                    done += 1
-                    if on_record is not None:
-                        on_record(index, jobs[index], results[index])
-                    if progress is not None:
-                        progress(done, total, jobs[index])
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-    return done

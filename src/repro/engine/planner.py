@@ -19,9 +19,11 @@ configuration affinity: every task of one ``system_key`` travels in one
 chunk (split at mapper-dependency boundaries only when oversized), so a
 worker builds each architecture/energy table once, shares one system
 instance across the chunk's tasks, and ships all results back in a
-single message.  Phase 2 — reassembling whole-network evaluations from
-the warmed cache — is cheap and runs in the parent
-(:func:`repro.engine.executor.run_jobs`).
+single message.  A chunk also carries the few cached entries its tasks
+read (:attr:`TaskChunk.deps`), so a worker needs no copy of the cache.
+Phase 2 — reassembling whole-network evaluations from the warmed cache
+— is cheap and runs in the parent (:func:`repro.engine.executor.
+run_jobs`).
 
 Planning never changes what is computed, only where and how often:
 results are bit-identical to the serial path, and whole-job cache keys
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.engine.cache import EvaluationCache, store_entry_key
@@ -51,6 +53,12 @@ class TaskChunk:
     (parallel to ``tasks``, planner-internal) tags each task with the
     mapper search it produces or consumes, so splitting never separates
     a layer task from the search it depends on.
+
+    ``deps`` (entry key -> entry) holds the cached ``mappings`` entries
+    the chunk's tasks read: the searches its ``use_mapper`` layer tasks
+    consume that were already cached at plan time.  Nothing else is
+    needed: a layer task is planned only when its own entry is missing,
+    and a search that is not cached rides in the chunk as a task.
     """
 
     system: str
@@ -58,6 +66,7 @@ class TaskChunk:
     system_key: str
     tasks: List[Any] = field(default_factory=list)
     clusters: List[Any] = field(default_factory=list)
+    deps: Dict[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -88,33 +97,6 @@ class SweepPlan:
         return sum(len(chunk) for chunk in self.chunks)
 
 
-#: Everything the two-phase path calls on a system: enumeration and
-#: execution for phase 1, store-key derivation and result assembly
-#: (which also reaches the fused-capacity check through ``.model``) for
-#: phase 2.  The gate and the assembler test the same set, so a batch
-#: that cannot be assembled parent-side never pays for planning.
-_PLANNER_SEAMS = ("enumerate_sub_tasks", "compute_sub_task",
-                  "sub_task_store_key", "_layer_store_key",
-                  "_mapper_store_key")
-
-
-def plannable(jobs: Sequence[EvaluationJob]) -> bool:
-    """Whether every job's system exposes the planner seams (store +
-    sub-task enumeration + parent-side assembly).  All
-    :class:`~repro.systems.base.PhotonicSystem` subclasses do; a batch
-    containing any hand-rolled system falls back to whole-job
-    execution."""
-    registry = system_registry()
-    for job in jobs:
-        entry = registry[job.system]
-        if not entry.supports_store:
-            return False
-        if not all(hasattr(entry.system_type, seam)
-                   for seam in _PLANNER_SEAMS):
-            return False
-    return True
-
-
 def _expand_tasks(system: Any,
                   job: EvaluationJob) -> List[Tuple[Any, Tuple]]:
     """One job's sub-tasks with their store keys precomputed."""
@@ -125,15 +107,12 @@ def _expand_tasks(system: Any,
 
 def build_plan(jobs: Sequence[EvaluationJob],
                cache: EvaluationCache,
-               workers: int = 1) -> Optional[SweepPlan]:
+               workers: int = 1) -> SweepPlan:
     """Expand ``jobs`` into deduplicated, config-affine task chunks.
 
-    Returns ``None`` when the batch is not plannable.  Dedup counters are
-    folded into ``cache.planner`` so front-ends report them alongside the
-    hit/miss statistics.
+    Dedup counters are folded into ``cache.planner`` so front-ends
+    report them alongside the hit/miss statistics.
     """
-    if not plannable(jobs):
-        return None
     with obs.span("planner.build_plan", jobs=len(jobs)) as plan_span:
         registry = system_registry()
         groups: Dict[str, TaskChunk] = {}
@@ -180,9 +159,16 @@ def build_plan(jobs: Sequence[EvaluationJob],
                                       entry_key):
                         cache_hits += 1
                         continue
-                    if task.kind == "mapper" or task.use_mapper:
-                        cluster = ("search",
-                                   system._mapper_store_key(task.layer))
+                    if task.kind == "mapper":
+                        cluster = ("search", entry_key)
+                    elif task.use_mapper:
+                        search_key = store_entry_key(
+                            system_key, system._mapper_store_key(task.layer))
+                        cluster = ("search", search_key)
+                        if search_key not in group.deps:
+                            search = cache.peek("mappings", search_key)
+                            if search is not None:
+                                group.deps[search_key] = search
                     else:
                         cluster = ("solo", len(group.tasks))
                     group.tasks.append(task)
@@ -250,7 +236,8 @@ def _split(group: TaskChunk, target: int) -> List[TaskChunk]:
     search (matched by the ``clusters`` tags computed at plan time);
     mapper-less layer tasks are singleton clusters.  Clusters are packed
     in enumeration order, preserving the mapper-before-dependents
-    ordering within each chunk.
+    ordering within each chunk, and each chunk takes the deps of the
+    searches its own clusters consume.
     """
     clusters: Dict[Any, List[Any]] = {}
     order: List[Any] = []
@@ -261,14 +248,18 @@ def _split(group: TaskChunk, target: int) -> List[TaskChunk]:
         clusters[cluster].append(task)
     chunks: List[TaskChunk] = []
     current: List[Any] = []
+    deps: Dict[str, Any] = {}
     for cluster in order:
         current.extend(clusters[cluster])
+        if cluster[1] in group.deps:
+            deps[cluster[1]] = group.deps[cluster[1]]
         if len(current) >= target:
             chunks.append(TaskChunk(system=group.system, config=group.config,
                                     system_key=group.system_key,
-                                    tasks=current))
-            current = []
+                                    tasks=current, deps=deps))
+            current, deps = [], {}
     if current:
         chunks.append(TaskChunk(system=group.system, config=group.config,
-                                system_key=group.system_key, tasks=current))
+                                system_key=group.system_key, tasks=current,
+                                deps=deps))
     return chunks

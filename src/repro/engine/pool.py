@@ -1,34 +1,28 @@
-"""Persistent warm worker pool with an epoch-stamped cache delta protocol.
+"""Persistent warm worker pool running stateless, self-contained batches.
 
 :class:`WorkerPool` owns a ``multiprocessing`` pool that *survives across*
 ``run_jobs`` calls.  That changes the economics of the parallel sweep
 path in three ways:
 
-* **Warm per-worker state.**  With the fork start method each worker
-  keeps its module-level caches between dispatches — the memoized
+* **Warm per-worker module state.**  With the fork start method each
+  worker keeps its module-level memos between dispatches — the memoized
   architecture/energy-table builds (``PhotonicSystem.build_cached``), the
   ``SearchContext`` FIFO, the mapper's process-wide fill-event and
-  tile-size tables, and its copy of the evaluation cache — so a second
-  dispatch pays none of the first one's warm-up.  Each worker freezes
-  (``gc.freeze()``) the heap it inherits at fork once its initializer
-  has run, so the collector's full passes scan only what the worker
-  itself allocates.
+  tile-size tables — so a second dispatch pays none of the first one's
+  warm-up.  Each worker freezes (``gc.freeze()``) the heap it inherits
+  at fork once its initializer has run, so the collector's full passes
+  scan only what the worker itself allocates.
 
-* **Delta cache sync instead of full snapshots.**  The first dispatch
-  (at spawn) ships the cache image once, stamped with the cache's
-  ``(epoch, per-namespace length)`` marker — or, when the cache sits on
-  a sharded directory store, just the store reference plus the parent's
-  unflushed additions: the workers fault warm entries in from the
-  shared store lazily, so seeding cost no longer scales with the total
-  cache size either.  Entries are append-only
-  within an epoch and dicts preserve insertion order, so every later
-  dispatch ships only the entries *beyond* the oldest marker any worker
-  could be holding — O(new entries), not O(cache).  ``cache.clear()``
-  bumps the epoch, and switching ``run_jobs`` to a different cache
-  object changes the timeline entirely; either way an additive delta
-  cannot express the change, so the pool ships a token-stamped
-  full-snapshot *reset* in-band with the next dispatch — the worker
-  processes themselves stay alive, keeping their warm module state.
+* **No cache state in the workers.**  The planner dedups every sub-task
+  against the parent's cache and packs each mapper search with the
+  layer tasks that consume it, so the only cached entries a batch ever
+  reads are the mapper searches its ``use_mapper`` layer tasks consume
+  that were already cached at plan time.  Each chunk carries exactly
+  those (:attr:`~repro.engine.planner.TaskChunk.deps`); a worker runs
+  each batch against a fresh cache seeded with them and ships back only
+  what it computed.  Nothing is replicated, so switching caches between
+  dispatches, or sharing one pool between several caches, needs no
+  bookkeeping at all.
 
 * **A slim wire format.**  Planner batches are re-encoded before
   pickling: configurations and layers are interned into per-payload
@@ -50,26 +44,21 @@ liveness (``Process.is_alive`` plus a pid-set comparison against the
 dispatch-time roster, which also catches workers the ``multiprocessing``
 machinery already silently replaced).  A worker that died — SIGKILL,
 ``os._exit``, OOM — costs one batch retry, not a hung sweep: the pool
-tears the process group down, respawns workers re-seeded from the
-current cache (shared store or snapshot — including everything already
-merged from answered batches), and re-dispatches only the unanswered
-payloads with a bumped attempt number.  Marker bookkeeping forgets dead
-pids (``_sync_payload`` prunes the ack map to live workers each
-dispatch), so deltas never grow unboundedly waiting for acks that can't
-come.  Repeated crashes on the same payloads raise
-:class:`~repro.exceptions.WorkerCrashError` after ``max_respawns``
-recoveries.
+tears the process group down, respawns, and re-dispatches only the
+unanswered payloads — unchanged, since each carries its own inputs —
+with a bumped attempt number.  Repeated crashes on the same payloads
+raise :class:`~repro.exceptions.WorkerCrashError` after
+``max_respawns`` recoveries.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import multiprocessing
-import os
 import signal
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
@@ -77,8 +66,6 @@ from repro.engine import faults
 from repro.engine.cache import EvaluationCache, SystemStore, store_entry_key
 from repro.exceptions import WorkerCrashError
 from repro.workloads.layer import ConvLayer
-
-_Marker = Tuple[int, Tuple[int, ...]]
 
 #: Per-task guard shipped inside dispatch payloads:
 #: ``(task_timeout_seconds, capture_errors, fault_plan_wire)`` — or
@@ -108,6 +95,8 @@ def _encode_batch(batch: Iterable[Any]) -> Tuple[list, list, list]:
     DRAM-flag variant), so interning layers and configurations into
     per-payload tables referenced by index cuts the pickled size several
     fold.  Layers travel as bare field tuples, not dataclass pickles.
+    Each context also carries its chunk's ``deps`` (the cached mapper
+    entries its tasks read), so a payload is complete in itself.
     """
     contexts: list = []
     layer_specs: list = []
@@ -115,7 +104,8 @@ def _encode_batch(batch: Iterable[Any]) -> Tuple[list, list, list]:
     segments: list = []
     for chunk in batch:
         context_index = len(contexts)
-        contexts.append((chunk.system, chunk.config, chunk.system_key))
+        contexts.append((chunk.system, chunk.config, chunk.system_key,
+                         chunk.deps))
         codes = []
         for task in chunk.tasks:
             layer = task.layer
@@ -232,27 +222,7 @@ def _unpack_added(packed: Dict[str, tuple]) -> Dict[str, Dict[str, Any]]:
 # Worker-process side
 # ---------------------------------------------------------------------------
 
-_WORKER_CACHE: Optional[EvaluationCache] = None
-_WORKER_MARK: Optional[_Marker] = None
-_WORKER_TOKEN: int = 0
 _WORKER_OBS: Optional[Tuple[float, int]] = None
-
-
-def _seed_cache(seed: Optional[tuple]) -> Optional[EvaluationCache]:
-    """Build a worker cache from a tagged seed payload.
-
-    ``("image", snapshot)`` is the classic full pickled image;
-    ``("store", (directory, pending))`` opens the shared sharded store
-    lazily — the worker reads warm entries shard-by-shard straight from
-    disk as it needs them and only the parent's unflushed additions
-    rode the wire.
-    """
-    if seed is None:
-        return None
-    kind, body = seed
-    if kind == "store":
-        return EvaluationCache.from_store_seed(body)
-    return EvaluationCache.from_snapshot(body)
 
 
 def default_signal_handlers() -> None:
@@ -264,17 +234,13 @@ def default_signal_handlers() -> None:
     signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
-def _init_pool_worker(seed: Optional[tuple],
-                      marker: Optional[_Marker], token: int) -> None:
-    """Pool initializer: restore default signal handling, seed the floor
-    snapshot, silence inherited tracing (payloads re-activate it per
-    dispatch as needed), then freeze the heap inherited at fork so later
-    full collections never rescan it."""
-    global _WORKER_CACHE, _WORKER_MARK, _WORKER_TOKEN, _WORKER_OBS
+def _init_pool_worker() -> None:
+    """Pool initializer: restore default signal handling, silence
+    inherited tracing (payloads re-activate it per dispatch as needed),
+    then freeze the heap inherited at fork so later full collections
+    never rescan it."""
+    global _WORKER_OBS
     default_signal_handlers()
-    _WORKER_CACHE = _seed_cache(seed)
-    _WORKER_MARK = marker
-    _WORKER_TOKEN = token
     _WORKER_OBS = None
     obs.deactivate()
     gc.freeze()
@@ -294,52 +260,14 @@ def _sync_tracing(config: Optional[Tuple[float, int]]) -> None:
     _WORKER_OBS = config
 
 
-def _apply_sync(sync: Optional[tuple]) -> EvaluationCache:
-    """Fold the dispatch's cache sync into the warm worker cache.
-
-    Payloads are tagged: ``("reset", token, marker, seed)`` replaces
-    the cache wholesale (the parent switched caches or bumped the epoch
-    — the processes stay alive, only the cached data is swapped; the
-    seed is an image or store reference, see :func:`_seed_cache`), while
-    ``("delta", token, marker, delta)`` folds in new entries.  The token
-    identifies the cache timeline: a reset is applied once per token (a
-    worker serving two payloads of one dispatch must not wipe its first
-    batch's entries), and a delta whose token doesn't match the worker's
-    falls back to an empty cache — strictly safe, since worker caches
-    only avoid recomputation and ``pop_added`` re-ships anything
-    computed fresh.
-    """
-    global _WORKER_CACHE, _WORKER_MARK, _WORKER_TOKEN
-    if sync is None:
-        return (_WORKER_CACHE if _WORKER_CACHE is not None
-                else EvaluationCache())
-    kind, token, target = sync[0], sync[1], sync[2]
-    if kind == "reset":
-        if token != _WORKER_TOKEN or _WORKER_CACHE is None:
-            _WORKER_CACHE = _seed_cache(sync[3]) or EvaluationCache()
-            _WORKER_TOKEN = token
-            _WORKER_MARK = target
-        return _WORKER_CACHE
-    delta = sync[3]
-    if token != _WORKER_TOKEN or _WORKER_CACHE is None:
-        # Missed a reset for this timeline (or never seeded): a delta
-        # alone can't reconstruct it, so start empty.
-        _WORKER_CACHE = EvaluationCache()
-        _WORKER_TOKEN = token
-    if delta:
-        # adopt(), not merge(): parent-owned entries must not be
-        # re-shipped back with this worker's own results.
-        _WORKER_CACHE.adopt(delta)
-    _WORKER_MARK = target
-    return _WORKER_CACHE
-
-
 def _run_wire_batch(payload):
     """Execute one slim-encoded planner batch; ship packed results back.
 
-    The same contract as the legacy ``_run_batch_in_worker``: each
-    segment's tasks share one (memoized) system build and one store
-    scope, and the whole batch answers in a single message.
+    The batch runs against a fresh cache seeded with its chunks' deps,
+    so no state carries over from one batch to the next.  Each segment's
+    tasks share one (memoized) system build and one store scope, and
+    the whole batch answers in a single message: the entries it
+    computed, its hit/miss counts, its trace events and its failures.
 
     ``guard`` (see :data:`_Guard`) arms the failure-policy machinery:
     each task runs under the watchdog deadline and the fault-injection
@@ -351,10 +279,10 @@ def _run_wire_batch(payload):
     from repro.engine.jobs import system_registry
     from repro.systems.base import SubTask
 
-    index, sync, obs_config, wire, guard, attempt = payload
+    index, obs_config, wire, guard, attempt = payload
     _sync_tracing(obs_config)
-    cache = _apply_sync(sync)
     contexts, layer_specs, segments = wire
+    cache = EvaluationCache()
     layers = _decode_layers(layer_specs)
     registry = system_registry()
     failed: Dict[str, Tuple[str, str]] = {}
@@ -366,7 +294,10 @@ def _run_wire_batch(payload):
     with obs.span("worker.batch", segments=len(segments),
                   tasks=sum(len(codes) for _index, codes in segments)):
         for context_index, codes in segments:
-            system_name, config, system_key = contexts[context_index]
+            system_name, config, system_key, deps = contexts[context_index]
+            # adopt(), not merge(): the parent already holds these
+            # entries, so they must not ride back with the results.
+            cache.adopt({"mappings": deps})
             entry = registry[system_name]
             with obs.span("system.build", system=system_name):
                 system = entry.system_type(
@@ -393,13 +324,10 @@ def _run_wire_batch(payload):
                     key = store_entry_key(system_key,
                                           system.sub_task_store_key(task))
                     failed[key] = (type(error).__name__, str(error))
-    added = cache.pop_added()
-    stats = cache.stats_snapshot()
-    cache.reset_stats()
     tracer = obs.current_tracer()
     events = tracer.drain() if tracer.enabled else None
-    return (index, _pack_added(added), stats, events,
-            os.getpid(), _WORKER_MARK, failed)
+    return (index, _pack_added(cache.pop_added()), cache.stats_snapshot(),
+            events, failed)
 
 
 def pool_context():
@@ -417,61 +345,25 @@ def pool_context():
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclasses.dataclass
 class PoolStats:
-    """Wire-traffic counters for one :class:`WorkerPool`.
+    """Traffic counters for one :class:`WorkerPool`.
 
-    ``snapshot_entries`` counts entries shipped via full snapshots (at
-    spawn or as in-band resets); ``delta_entries`` counts entries
-    shipped as warm deltas — on a healthy reused pool the latter stays
-    small while the former is paid once per cache timeline.
-    ``store_seeds`` counts seeds that shipped a shared-store reference
-    instead of a pickled image (directory caches: workers read warm
-    entries from disk themselves, so ``snapshot_entries`` then counts
-    only the unflushed additions that rode along).  ``epoch_resets``
-    counts timeline changes (epoch bump or cache switch) answered by an
-    in-band reseed; the workers stay alive.
+    ``dep_entries`` counts the cached mapper entries that rode along
+    with dispatched batches (:attr:`~repro.engine.planner.TaskChunk.
+    deps`) — the only cache state a worker ever receives.
     """
 
     spawns: int = 0
     dispatches: int = 0
     batches: int = 0
-    snapshot_entries: int = 0
-    store_seeds: int = 0
-    delta_syncs: int = 0
-    delta_entries: int = 0
-    epoch_resets: int = 0
+    dep_entries: int = 0
     #: Supervision recoveries: a worker process died mid-dispatch and
     #: the pool respawned + re-dispatched the unanswered batches.
     respawns: int = 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "spawns": self.spawns,
-            "dispatches": self.dispatches,
-            "batches": self.batches,
-            "snapshot_entries": self.snapshot_entries,
-            "store_seeds": self.store_seeds,
-            "delta_syncs": self.delta_syncs,
-            "delta_entries": self.delta_entries,
-            "epoch_resets": self.epoch_resets,
-            "respawns": self.respawns,
-        }
-
-
-@dataclass
-class _CacheSync:
-    """What the pool knows about its workers' cache copies."""
-
-    cache_id: int
-    epoch: int
-    floor: _Marker                      # shipped to every worker at spawn
-    marks: Dict[int, _Marker]           # pid -> last acknowledged marker
-    token: int                          # cache-timeline id the workers hold
-    #: True while some worker may still hold the previous timeline:
-    #: dispatches ship full-snapshot resets until every pid has
-    #: acknowledged the new token.
-    resetting: bool = False
+        return dataclasses.asdict(self)
 
 
 class WorkerPool:
@@ -483,11 +375,11 @@ class WorkerPool:
             first = run_jobs(jobs_a, cache=cache, pool=pool)
             second = run_jobs(jobs_b, cache=cache, pool=pool)  # warm
 
-    Workers spawn lazily on the first dispatch and are seeded with the
-    cache's full image once; later dispatches ship only the entries
-    added since (see the module docstring for the marker protocol).
-    Results are bit-identical to serial execution — the pool only moves
-    cache entries, never recomputes them differently.
+    Workers spawn lazily on the first dispatch, ``min(workers,
+    cpu_count)`` of them, and hold no cache state: every batch carries
+    the few cached entries it reads (see the module docstring).  Results
+    are bit-identical to serial execution — the pool only moves cache
+    entries, never recomputes them differently.
     """
 
     def __init__(self, workers: int = 4) -> None:
@@ -504,9 +396,6 @@ class WorkerPool:
         #: respawning forever (a deterministic crasher would loop).
         self.max_respawns = 3
         self._pool = None
-        self._pool_size = 0
-        self._sync: Optional[_CacheSync] = None
-        self._token = 0          # monotonic; never reused across resets
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -530,7 +419,7 @@ class WorkerPool:
         a worker that has sent its last reply but not yet released the
         result queue's lock, and the pool's shutdown would then wait on
         that lock for ever.  The pool object remains usable: the next
-        dispatch respawns with a fresh snapshot floor.
+        dispatch respawns.
         """
         self._shut_down(kill=False)
 
@@ -544,76 +433,16 @@ class WorkerPool:
                 self._pool.close()
             self._pool.join()
             self._pool = None
-            self._pool_size = 0
-            self._sync = None
 
-    def _ensure_workers(self, cache: Optional[EvaluationCache],
-                        pending: int) -> None:
-        if self._pool is not None and self._sync is not None:
-            stale = (cache is None
-                     or self._sync.cache_id != id(cache)
-                     or self._sync.epoch != cache.epoch)
-            if stale:
-                # The warm copies describe data that no longer exists
-                # (epoch bump) or a different cache object entirely; an
-                # additive delta can't fix either.  Keep the processes
-                # alive — their module-level memos (architecture builds,
-                # search contexts) are still good — and ship a
-                # full-snapshot reset in-band with the next dispatch.
-                self.stats.epoch_resets += 1
-                if cache is None:
-                    # Nothing to reseed from; drop the warm copies with
-                    # the processes.
-                    self.close()
-                else:
-                    self._token += 1
-                    self._sync = _CacheSync(
-                        cache_id=id(cache), epoch=cache.epoch,
-                        floor=cache.sync_marker(), marks={},
-                        token=self._token, resetting=True)
+    def _ensure_workers(self) -> None:
         if self._pool is not None:
             return
-        size = max(1, min(self.workers, pending,
+        size = max(1, min(self.workers,
                           multiprocessing.cpu_count() or self.workers))
-        if cache is not None:
-            seed = self._seed_payload(cache)
-            marker = cache.sync_marker()
-        else:
-            seed, marker = None, None
         with obs.span("executor.pool_spawn", workers=size):
             self._pool = pool_context().Pool(
-                size, initializer=_init_pool_worker,
-                initargs=(seed, marker, self._token))
-        self._pool_size = size
+                size, initializer=_init_pool_worker)
         self.stats.spawns += 1
-        if cache is not None:
-            self._sync = _CacheSync(cache_id=id(cache), epoch=cache.epoch,
-                                    floor=marker, marks={},
-                                    token=self._token)
-        else:
-            self._sync = None
-
-    def _seed_payload(self, cache: EvaluationCache) -> tuple:
-        """The tagged worker seed (see :func:`_seed_cache`).
-
-        Directory caches ship a store reference plus only the unflushed
-        additions — the workers fault warm entries in from the shared
-        sharded store themselves; everything else ships the full
-        in-memory image (sans the whole-job ``results`` namespace,
-        which workers never read).
-        """
-        store_seed = cache.store_seed()
-        if store_seed is not None:
-            self.stats.store_seeds += 1
-            self.stats.snapshot_entries += sum(
-                len(values) for values in store_seed[1].values())
-            return ("store", store_seed)
-        with obs.span("executor.snapshot"):
-            snapshot = cache.snapshot()
-            snapshot["results"] = {}
-        self.stats.snapshot_entries += sum(
-            len(snapshot[ns]) for ns in snapshot)
-        return ("image", snapshot)
 
     # ------------------------------------------------------------------
     # Supervision
@@ -652,49 +481,9 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _sync_payload(self, cache: Optional[EvaluationCache]):
-        sync = self._sync
-        if cache is None or sync is None:
-            return None
-        # Forget dead pids: a mark held for a worker that no longer
-        # exists would pin the delta base at its last ack forever (the
-        # ack that moves it past can never come), growing every later
-        # delta unboundedly.
-        alive = self._worker_pids()
-        if alive is not None:
-            for pid in [pid for pid in sync.marks if pid not in alive]:
-                del sync.marks[pid]
-        current = cache.sync_marker()
-        if sync.resetting:
-            # Some worker may still hold the previous timeline: ship a
-            # full seed (image, or store reference for directory caches)
-            # until every pid has acknowledged the new token.  The
-            # worker-side token check makes repeated resets idempotent
-            # within a dispatch.
-            sync.floor = current
-            return ("reset", sync.token, current,
-                    self._seed_payload(cache))
-        # The base is the oldest state any worker can be in: its last
-        # acknowledged marker, or the spawn floor if it has never
-        # answered.  Markers on one cache timeline are totally ordered,
-        # but take the per-namespace minimum anyway — it is correct even
-        # for incomparable markers.
-        known = list(sync.marks.values())
-        if len(sync.marks) < self._pool_size or not known:
-            known.append(sync.floor)
-        base = (sync.epoch,
-                tuple(min(lengths) for lengths
-                      in zip(*(mark[1] for mark in known))))
-        delta = cache.entries_since(base)
-        delta.pop("results", None)
-        self.stats.delta_syncs += 1
-        self.stats.delta_entries += sum(len(v) for v in delta.values())
-        return ("delta", sync.token, current, delta)
-
     def run_batches(
         self,
         batches: List[Any],
-        cache: Optional[EvaluationCache],
         obs_config: Optional[Tuple[float, int]] = None,
         guard: _Guard = None,
         attempt: int = 0,
@@ -706,8 +495,7 @@ class WorkerPool:
 
         The result wait is supervised: a worker process that dies
         mid-dispatch (see the module docstring) is detected within
-        ``supervision_interval``, the pool respawns re-seeded from the
-        *current* cache — answered batches included — and only the
+        ``supervision_interval``, the pool respawns, and only the
         unanswered payloads are re-dispatched, with the attempt number
         bumped so deterministic fault-injection plans don't re-fire.
 
@@ -726,12 +514,13 @@ class WorkerPool:
                    for index, batch in enumerate(batches)}
         self.stats.dispatches += 1
         self.stats.batches += len(pending)
+        self.stats.dep_entries += sum(len(chunk.deps) for batch in batches
+                                      for chunk in batch)
         respawns = 0
         try:
             while pending:
-                self._ensure_workers(cache, len(pending))
-                sync = self._sync_payload(cache)
-                payloads = [(index, sync, obs_config, wire, guard,
+                self._ensure_workers()
+                payloads = [(index, obs_config, wire, guard,
                              attempt + respawns)
                             for index, wire in pending.items()]
                 roster = self._worker_pids() or set()
@@ -747,13 +536,7 @@ class WorkerPool:
                         continue
                     except StopIteration:
                         break
-                    index, packed, stats, events, pid, mark, failed = reply
-                    if self._sync is not None and mark is not None:
-                        self._sync.marks[pid] = mark
-                        if (self._sync.resetting
-                                and len(self._sync.marks)
-                                >= self._pool_size):
-                            self._sync.resetting = False
+                    index, packed, stats, events, failed = reply
                     pending.pop(index, None)
                     yield index, _unpack_added(packed), stats, events, \
                         failed
@@ -762,9 +545,9 @@ class WorkerPool:
                 # Batches went unanswered: a worker crashed (or the
                 # dispatch drained short, which re-dispatching also
                 # fixes).  Kill the survivors — their sibling's death
-                # may have wedged the shared result queue — respawn
-                # re-seeded from the current cache, and retry what's
-                # left.  One SIGKILL costs one batch retry, not a hang.
+                # may have wedged the shared result queue — respawn and
+                # retry what's left.  One SIGKILL costs one batch retry,
+                # not a hang.
                 respawns += 1
                 self.stats.respawns += 1
                 if respawns > self.max_respawns:

@@ -129,18 +129,6 @@ class StoreStats:
             "migrated_entries": self.migrated_entries,
         }
 
-    def absorb(self, counts: Dict[str, Any]) -> None:
-        """Fold another store's counters in (worker -> parent merge)."""
-        self.shard_loads += int(counts.get("shard_loads", 0))
-        self.loaded_entries += int(counts.get("loaded_entries", 0))
-        self.flushes += int(counts.get("flushes", 0))
-        self.flushed_entries += int(counts.get("flushed_entries", 0))
-        self.lock_waits += int(counts.get("lock_waits", 0))
-        self.lock_wait_s += float(counts.get("lock_wait_s", 0.0))
-        self.evicted_entries += int(counts.get("evicted_entries", 0))
-        self.evicted_bytes += int(counts.get("evicted_bytes", 0))
-        self.migrated_entries += int(counts.get("migrated_entries", 0))
-
     def reset(self) -> None:
         self.shard_loads = 0
         self.loaded_entries = 0
@@ -265,9 +253,8 @@ class ShardedStore:
         shard-f.jsonl
         locks/          # advisory lock sentinels (one per shard + index)
 
-    ``namespaces`` fixes the entry families; ``load_namespaces``
-    restricts what :meth:`load_shard` decodes (worker processes skip the
-    large whole-job ``results`` entries).  ``max_entries``/``max_bytes``
+    ``namespaces`` fixes the entry families (:meth:`load_shard` skips
+    any other).  ``max_entries``/``max_bytes``
     (int = global, dict = per-namespace) arm automatic LRU eviction at
     flush time; :meth:`gc` applies the same policy on demand.
     """
@@ -276,16 +263,12 @@ class ShardedStore:
         self,
         directory: str,
         namespaces: Iterable[str],
-        load_namespaces: Optional[Iterable[str]] = None,
         max_entries: Budget = None,
         max_bytes: Budget = None,
         lock_timeout: Optional[float] = 30.0,
     ) -> None:
         self.directory = directory
         self.namespaces = tuple(namespaces)
-        self.load_namespaces = (frozenset(load_namespaces)
-                                if load_namespaces is not None
-                                else frozenset(self.namespaces))
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         #: Per-acquisition deadline on shard/index locks — store
@@ -413,7 +396,7 @@ class ShardedStore:
                 if record[0] != "put":
                     continue
                 _tag, namespace, key, value = record[0:4]
-                if namespace not in self.load_namespaces:
+                if namespace not in self.namespaces:
                     continue
                 entries.setdefault(namespace, {})[key] = value
                 count += 1

@@ -133,7 +133,6 @@ def run(
     use_mapper: bool = False,
     workers: int = 1,
     cache=None,
-    plan=None,
 ) -> Fig4Result:
     network = network or resnet18()
     config = config or AlbireoConfig()
@@ -143,5 +142,5 @@ def run(
         fusion_options=(False, True),
         use_mapper=use_mapper,
     )
-    results = study.run(workers=workers, cache=cache, plan=plan)
+    results = study.run(workers=workers, cache=cache)
     return Fig4Result(points=tuple(memory_points(results)))

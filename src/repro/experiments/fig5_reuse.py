@@ -136,7 +136,6 @@ def run(
     use_mapper: bool = False,
     workers: int = 1,
     cache=None,
-    plan=None,
 ) -> Fig5Result:
     network = network or resnet18()
     config = (config or AlbireoConfig()).with_scenario(scenario)
@@ -148,5 +147,5 @@ def run(
         include_dram=False,
         use_mapper=use_mapper,
     )
-    results = study.run(workers=workers, cache=cache, plan=plan)
+    results = study.run(workers=workers, cache=cache)
     return Fig5Result(points=tuple(reuse_points(results)))

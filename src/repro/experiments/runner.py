@@ -49,7 +49,7 @@ class AllResults:
 
 
 def run_all(use_mapper: bool = False, workers: int = 1,
-            cache=None, plan=None) -> AllResults:
+            cache=None) -> AllResults:
     """Run the paper's full evaluation (a few seconds).
 
     ``workers``/``cache`` parallelize and memoize the sweep-shaped
@@ -59,7 +59,7 @@ def run_all(use_mapper: bool = False, workers: int = 1,
         fig2=fig2_validation.run(),
         fig3=fig3_throughput.run(use_mapper=use_mapper),
         fig4=fig4_memory.run(use_mapper=use_mapper, workers=workers,
-                             cache=cache, plan=plan),
+                             cache=cache),
         fig5=fig5_reuse.run(use_mapper=use_mapper, workers=workers,
-                            cache=cache, plan=plan),
+                            cache=cache),
     )

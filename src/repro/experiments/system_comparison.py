@@ -135,21 +135,20 @@ def run(
     systems: Optional[Sequence[str]] = None,
     workers: int = 1,
     cache=None,
-    plan: Optional[bool] = None,
 ) -> ComparisonResult:
     """Compare ``systems`` (registry names; default: every registered
     system) over ``networks`` under one scaling scenario.
 
     A thin shell over :func:`repro.api.studies.comparison_study`, so the
-    comparison gains ``workers``/``cache``/``plan`` (the engine's pool,
-    persistent memoization, and two-phase scheduler) for free; rows keep
-    the historical network-major order.
+    comparison gains ``workers``/``cache`` (the engine's pool and
+    persistent memoization) for free; rows keep the historical
+    network-major order.
     """
     networks = networks or (resnet18(), vgg16(), alexnet())
     names = list(systems) if systems else system_names()
     study = comparison_study(networks, names, scenario,
                              use_mapper=use_mapper)
-    results = study.run(workers=workers, cache=cache, plan=plan)
+    results = study.run(workers=workers, cache=cache)
     # Records arrive in the study's lattice order — system-major,
     # network-inner — while rows keep the historical network-major order.
     # Positional indexing (rather than tag lookup) pairs every record

@@ -9,8 +9,8 @@ two sides (and the stdio transport) can never drift:
   "failure_policy": {...}, "trace": true}``.
 * Event constructors/codecs — each line of a ``/v1/studies/<id>/events``
   stream is one JSON object with an ``"event"`` discriminator
-  (``queued``, ``started``, ``record``, ``progress``, ``heartbeat``,
-  ``error``, ``done``), newline-terminated (NDJSON).  ``record`` events
+  (``queued``, ``started``, ``record``, ``heartbeat``, ``error``,
+  ``done``), newline-terminated (NDJSON).  ``record`` events
   embed the exact flat row :meth:`~repro.api.results.Record.to_dict`
   produces, so a client that collects them holds data bit-identical to
   a local :meth:`~repro.api.Study.run`.
@@ -169,12 +169,6 @@ def record_event(row: Mapping[str, Any], done: int,
     :meth:`Record.to_dict` — tags then metrics, or tags then failure
     facts) plus stream progress counters."""
     return event("record", done=done, total=total, record=dict(row))
-
-
-def progress_event(done: int, total: int, label: str) -> Dict[str, Any]:
-    """Liveness between records (phase-1 batch completions and cache
-    hits tick this even when no new record is ready)."""
-    return event("progress", done=done, total=total, label=label)
 
 
 def done_event(job_id: str, status: str, records: int,

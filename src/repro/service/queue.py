@@ -155,7 +155,7 @@ class JobQueue:
 
     ``execute(job)`` is the service's evaluation hook, called on the
     executor thread with the job already in ``running`` state; it emits
-    ``started``/``record``/``progress`` events and maintains the job's
+    ``started``/``record`` events and maintains the job's
     outcome counters.  The queue handles everything around it: ordering,
     status transitions, the terminal event, cancellation, failure
     capture (an exception out of ``execute`` becomes a structured

@@ -56,8 +56,8 @@ class ReproService:
     ``cache`` is the shared :class:`EvaluationCache` (or a directory
     path opened as a sharded store; ``None`` for in-memory).  With
     ``workers > 1`` a persistent :class:`WorkerPool` is spawned lazily
-    on the first parallel study and reused — with delta cache sync —
-    for every study after it.
+    on the first parallel study and reused, warm, for every study after
+    it.
     """
 
     def __init__(self, cache: CacheLike = None, workers: int = 1,
@@ -103,12 +103,8 @@ class ReproService:
         workers = min(request.workers or self.workers, self.workers)
         pool = self.pool if workers > 1 else None
 
-        # A record event per completed point; progress events only for
-        # the liveness ticks between them (phase-1 batch completions),
-        # deduplicated via the completion flag — the engine fires
-        # on_record then progress at every completion site.
-        just_completed = [False]
-
+        # A record event per completed point; the event stream's
+        # heartbeat covers liveness between them.
         def on_record(record, done: int, total: int) -> None:
             if job.cancelled:
                 raise JobCancelled()
@@ -116,22 +112,13 @@ class ReproService:
             if record.failed:
                 job.failures += 1
             self.records_streamed += 1
-            just_completed[0] = True
             job.emit(protocol.record_event(record.to_dict(), done, total))
-
-        def on_progress(done: int, total: int, engine_job) -> None:
-            if just_completed[0]:
-                just_completed[0] = False
-                return
-            job.emit(protocol.progress_event(done, total,
-                                             engine_job.describe()))
 
         tracer = obs.Tracer() if request.trace else None
         results = study.run(
             workers=workers, cache=self.cache, pool=pool,
             failure_policy=request.failure_policy,
-            on_record=on_record, progress=on_progress,
-            trace=tracer)
+            on_record=on_record, trace=tracer)
         if tracer is not None:
             job.trace = results.trace
 

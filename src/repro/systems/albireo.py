@@ -680,7 +680,6 @@ register_system(SystemEntry(
     build_architecture=build_albireo_architecture,
     build_energy_table=build_albireo_energy_table,
     buckets=SYSTEM_BUCKETS,
-    supports_store=True,
     description=("Albireo silicon-photonic CNN accelerator "
                  "(Shiflett et al., ISCA 2021): streamed weights, "
                  "star-coupler input broadcast, locally-connected "

@@ -395,7 +395,6 @@ register_system(SystemEntry(
     build_architecture=build_crossbar_architecture,
     build_energy_table=build_crossbar_energy_table,
     buckets=CROSSBAR_BUCKETS,
-    supports_store=True,
     description=("Weight-stationary photonic WDM crossbar "
                  "(ADEPT/PCNNA-class): analog sample-and-hold weight "
                  "banks, per-row input streaming, optical column "

@@ -91,7 +91,6 @@ def sweep_reuse_factors(
     use_mapper: bool = False,
     workers: int = 1,
     cache: CacheLike = None,
-    plan: Optional[bool] = None,
 ) -> List[ReuseExplorationPoint]:
     """Evaluate ``network`` across the paper's Fig. 5 reuse grid.
 
@@ -106,7 +105,7 @@ def sweep_reuse_factors(
         include_dram=include_dram,
         use_mapper=use_mapper,
     )
-    return reuse_points(study.run(workers=workers, cache=cache, plan=plan))
+    return reuse_points(study.run(workers=workers, cache=cache))
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,6 @@ def sweep_memory_options(
     use_mapper: bool = False,
     workers: int = 1,
     cache: CacheLike = None,
-    plan: Optional[bool] = None,
 ) -> List[MemoryExplorationPoint]:
     """Evaluate ``network`` across the paper's Fig. 4 memory-system grid.
 
@@ -167,7 +165,7 @@ def sweep_memory_options(
         fused_buffer_kib=fused_buffer_kib,
         use_mapper=use_mapper,
     )
-    return memory_points(study.run(workers=workers, cache=cache, plan=plan))
+    return memory_points(study.run(workers=workers, cache=cache))
 
 
 def sweep_configurations(
@@ -176,7 +174,6 @@ def sweep_configurations(
     use_mapper: bool = False,
     workers: int = 1,
     cache: CacheLike = None,
-    plan: Optional[bool] = None,
 ) -> List[Tuple[Any, NetworkEvaluation]]:
     """Evaluate ``network`` on every configuration (generic DSE driver).
 
@@ -184,7 +181,7 @@ def sweep_configurations(
     """
     _deprecated("sweep_configurations")
     study = config_study(network, configs, use_mapper=use_mapper)
-    results = study.run(workers=workers, cache=cache, plan=plan)
+    results = study.run(workers=workers, cache=cache)
     return [(record.config, record.evaluation) for record in results]
 
 

@@ -30,6 +30,9 @@ SweepColumn = Tuple[str, Callable[[Any], Any]]
 class SystemEntry:
     """Everything a front-end needs to drive one modeled system by name.
 
+    ``system_type`` must subclass
+    :class:`~repro.systems.base.PhotonicSystem`, whose store and
+    sub-task seams the sweep engine drives.
     ``build_architecture`` must be a pure function of the config — the
     engine hashes its output into job identities, and
     :func:`repro.systems.base.build_cached` memoizes it.
@@ -47,10 +50,6 @@ class SystemEntry:
     build_architecture: Callable[[Any], Any]
     build_energy_table: Callable[[Any], Any]
     buckets: Any
-    #: Whether the constructor accepts the engine's duck-typed ``store``
-    #: (see :class:`repro.engine.cache.SystemStore`).  Systems built on
-    #: :class:`~repro.systems.base.PhotonicSystem` always do.
-    supports_store: bool = True
     description: str = ""
     default_sweep: Optional[Callable[[], Sequence[Any]]] = None
     sweep_columns: Tuple[SweepColumn, ...] = field(default=())
@@ -64,8 +63,17 @@ _builtins_loaded = False
 
 def register_system(entry: SystemEntry) -> SystemEntry:
     """Add (or replace) a system in the registry; returns the entry."""
+    # Imported here: the registry must not pull the systems layer into
+    # every import of the engine.
+    from repro.systems.base import PhotonicSystem
+
     if not entry.name:
         raise SpecError("system entry must have a non-empty name")
+    if not (isinstance(entry.system_type, type)
+            and issubclass(entry.system_type, PhotonicSystem)):
+        raise SpecError(
+            f"system {entry.name!r}: system_type must subclass "
+            f"PhotonicSystem, got {entry.system_type!r}")
     _REGISTRY[entry.name] = entry
     return entry
 
@@ -105,10 +113,7 @@ def get_system(name: str) -> SystemEntry:
 def create_system(name: str, config: Optional[Any] = None,
                   store: Optional[object] = None) -> Any:
     """Construct a ready-to-evaluate system instance by registry name."""
-    entry = get_system(name)
-    if store is not None and entry.supports_store:
-        return entry.system_type(config, store=store)
-    return entry.system_type(config)
+    return get_system(name).system_type(config, store=store)
 
 
 def infer_system(config: Any) -> Optional[str]:

@@ -579,7 +579,6 @@ register_system(SystemEntry(
     build_architecture=build_wdm_delay_architecture,
     build_energy_table=build_wdm_delay_energy_table,
     buckets=WDM_DELAY_BUCKETS,
-    supports_store=True,
     description=("WDM delay-buffer photonic CNN accelerator "
                  "(Xu et al., 2019 class): weight-stationary ring banks, "
                  "per-wavelength input channels, kernel window built in "

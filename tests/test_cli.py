@@ -227,8 +227,9 @@ class TestRunMultiSpec:
         assert results["hits"] == 1
 
     def test_keep_pool_spawns_once_across_specs(self, capsys, tmp_path):
-        """--keep-pool: one spawn for the whole command, later specs
-        reach warm workers via delta sync, never an epoch reset."""
+        """--keep-pool: one spawn for the whole command; later specs
+        reuse the warm workers, and specs without use_mapper ship no
+        cached entries to them."""
         paths = self._write_specs(tmp_path)
         json_path = tmp_path / "out.json"
         assert main(["run", *paths, "--cache", str(tmp_path / "cache"),
@@ -236,14 +237,14 @@ class TestRunMultiSpec:
                      "--json", str(json_path)]) == 0
         out = capsys.readouterr().out
         assert "pool: 1 spawns" in out
-        assert "0 epoch resets" in out
+        assert "0 cached mapper entries shipped" in out
         pool_stats = json.loads(json_path.read_text())["stats"]["pool"]
         assert pool_stats["spawns"] == 1
         # Later specs may need no dispatch at all (their misses assemble
         # from warm phase-1 layer entries); what matters is that no
-        # respawn or full-snapshot resync ever happened.
+        # respawn happened and nothing rode along.
         assert pool_stats["dispatches"] >= 1
-        assert pool_stats["epoch_resets"] == 0
+        assert pool_stats["dep_entries"] == 0
 
 
 class TestServeSubmitCli:

@@ -5,7 +5,6 @@ import dataclasses
 import json
 import subprocess
 import sys
-import textwrap
 from dataclasses import replace
 
 import pytest
@@ -372,13 +371,6 @@ class TestExecutor:
         for a, b in zip(mixed, uncached):
             assert _evaluations_identical(a, b)
 
-    def test_progress_reports_every_job(self, small_network):
-        jobs = config_sweep_jobs(small_network, _small_configs(3))
-        seen = []
-        run_jobs(jobs, progress=lambda done, total, job: seen.append(
-            (done, total)))
-        assert seen == [(1, 3), (2, 3), (3, 3)]
-
     def test_include_dram_false_strips_dram(self, small_network):
         job = make_job(small_network, AlbireoConfig(), include_dram=False)
         evaluation = run_job(job)
@@ -472,7 +464,8 @@ class TestPlanner:
             assert a.energy_pj == b.energy_pj
         # Every layer shape is cached once and every same-shape layer
         # reads that entry, so a warm run needs no evaluation at all.
-        warm = EvaluationCache.from_snapshot(cache.snapshot())
+        warm = EvaluationCache()
+        warm.merge(cache.snapshot())
         run_jobs(jobs, cache=warm)
         assert warm.stats["results"].hits == len(jobs)
         assert warm.stats["layers"].misses == 0
@@ -492,15 +485,6 @@ class TestPlanner:
         fig5 = reuse_sweep_jobs(network, AlbireoConfig())
         plan5 = build_plan(fig5, EvaluationCache(), workers=4)
         assert plan5.planned == plan5.phase1_tasks == 216
-
-    def test_plan_false_forces_whole_job_path(self, small_network):
-        jobs = config_sweep_jobs(small_network, _small_configs(3))
-        cache = EvaluationCache()
-        results = run_jobs(jobs, workers=2, cache=cache, plan=False)
-        assert cache.planner.planned == 0
-        uncached = run_jobs(jobs)
-        for a, b in zip(results, uncached):
-            assert _evaluations_identical(a, b)
 
     def test_batches_preserve_config_affinity(self, small_network):
         """Every task of one system_key ships in one batch segment."""
@@ -535,20 +519,6 @@ class TestPlanner:
             consumed = {task.layer.name for task in chunk.tasks
                         if task.kind == "layer" and task.use_mapper}
             assert consumed <= produced
-
-    def test_phase1_ticks_progress(self, small_network):
-        """A cold planned run shows liveness during phase 1 (finished
-        count unchanged) before the per-job assembly ticks."""
-        jobs = config_sweep_jobs(small_network, _small_configs(3))
-        calls = []
-        run_jobs(jobs, workers=2, cache=EvaluationCache(),
-                 progress=lambda done, total, job: calls.append(
-                     (done, total)))
-        phase1_ticks = [call for call in calls if call == (0, 3)]
-        assert phase1_ticks  # batches reported before any job finished
-        assert calls[-1] == (3, 3)
-        assert [call for call in calls if call[0] > 0] \
-            == [(1, 3), (2, 3), (3, 3)]
 
     def test_reset_stats_clears_counters(self, small_network):
         cache = EvaluationCache()
@@ -622,10 +592,9 @@ class TestShapeKeyedLayerEntries:
         # Warm replays: whole results, and layer entries alone (every
         # layer read comes from the entry the pool stored).
         replayed = run_jobs(jobs, cache=pooled_cache)
-        layers_only = pooled_cache.snapshot()
-        layers_only["results"] = {}
-        rebuilt = run_jobs(jobs, cache=EvaluationCache.from_snapshot(
-            layers_only))
+        layers_only = EvaluationCache()
+        layers_only.merge({"layers": pooled_cache.snapshot()["layers"]})
+        rebuilt = run_jobs(jobs, cache=layers_only)
 
         paths = {"serial": serial, "pooled": pooled,
                  "replayed": replayed, "rebuilt": rebuilt}
@@ -697,73 +666,9 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="injected failure"):
             run_jobs(jobs, workers=2, cache=EvaluationCache())
 
-    def test_worker_error_propagates_in_whole_job_path(self, small_network,
-                                                       failing_system):
-        jobs = self._failing_jobs(small_network)
-        with pytest.raises(ValueError, match="injected failure"):
-            run_jobs(jobs, workers=2, cache=EvaluationCache(), plan=False)
-        with pytest.raises(ValueError, match="injected failure"):
-            run_jobs(jobs, workers=2, plan=False)  # cache-less path too
-
-    def test_whole_job_failure_never_hangs(self):
-        """The fail-stop whole-job path, 20 times with more workers than
-        cores (up to four cores): every run raises the injected error and
-        leaves no worker alive.  A worker killed mid-reply can leave the result channel
-        locked and wedge the shutdown under load; the timeout turns such
-        a hang into a failure."""
-        script = textwrap.dedent("""\
-            import multiprocessing, os, sys
-            sys.path.insert(0, "src")
-            from repro.engine import make_job, run_jobs
-            from repro.engine.faults import InjectedFault
-            from repro.systems import AlbireoConfig, CrossbarConfig
-            from repro.workloads import tiny_cnn
-
-            workers = min(os.cpu_count() or 1, 4) + 2
-            configs = (AlbireoConfig, CrossbarConfig)
-            jobs = [make_job(tiny_cnn(),
-                             configs[index % 2](clock_ghz=3.0 + index / 8))
-                    for index in range(workers + 2)]
-            inject = [{"match": "crossbar:*:job", "action": "raise",
-                       "attempt": -1}]
-            for run in range(20):
-                try:
-                    run_jobs(jobs, workers=workers, plan=False,
-                             inject=inject)
-                except InjectedFault:
-                    pass
-                else:
-                    sys.exit(f"run {run}: no error raised")
-                if multiprocessing.active_children():
-                    sys.exit(f"run {run}: workers left alive")
-            print("ok")
-            """)
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=120,
-            cwd=str(__import__("pathlib").Path(__file__).parent.parent))
-        assert result.returncode == 0, result.stderr[-2000:]
-        assert result.stdout.strip() == "ok"
-
     def test_serial_error_propagates(self, small_network, failing_system):
         with pytest.raises(ValueError, match="injected failure"):
             run_jobs(self._failing_jobs(small_network), workers=1)
-
-    def test_keyboard_interrupt_tears_down_pool(self, small_network):
-        import multiprocessing
-        import time
-
-        def interrupt(done, total, job):
-            raise KeyboardInterrupt
-
-        jobs = config_sweep_jobs(small_network, _small_configs(4))
-        with pytest.raises(KeyboardInterrupt):
-            run_jobs(jobs, workers=2, plan=False, progress=interrupt)
-        # The ``with Pool`` exit terminates workers; give them a moment.
-        deadline = time.time() + 10
-        while multiprocessing.active_children() and time.time() < deadline:
-            time.sleep(0.05)
-        assert not multiprocessing.active_children()
 
     def test_planner_phase_failure_leaves_disk_image_valid(
             self, small_network, failing_system, tmp_path):
@@ -914,13 +819,12 @@ class TestOnRecordSeam:
 
     def test_parallel_paths_fire_once_per_job(self):
         serial = run_jobs(self._jobs())
-        for plan in (None, False):  # planner and whole-job dispatch
-            calls, results = self._collect(workers=2, plan=plan)
-            assert sorted(index for index, _, _ in calls) == [0, 1, 2]
-            for a, b in zip(results, serial):
-                assert _evaluations_identical(a, b)
-            assert all(outcome is results[index]
-                       for index, _, outcome in calls)
+        calls, results = self._collect(workers=2)
+        assert sorted(index for index, _, _ in calls) == [0, 1, 2]
+        for a, b in zip(results, serial):
+            assert _evaluations_identical(a, b)
+        assert all(outcome is results[index]
+                   for index, _, outcome in calls)
 
     def test_failures_fire_with_job_failure_outcome(self):
         from repro.engine import FailurePolicy, JobFailure

@@ -168,8 +168,6 @@ class TestOneRecordPerPoint:
                  .networks("tiny").grid(clock_ghz=(3.1, 3.2)))
         if mode == "serial":
             return study.run(**kwargs)
-        if mode == "whole-job":
-            return study.run(workers=2, plan=False, **kwargs)
         cache = EvaluationCache()
         with WorkerPool(2) as pool:
             if mode == "warm":
@@ -181,8 +179,7 @@ class TestOneRecordPerPoint:
         assert cache.stats["results"].hits == expected_hits
         return results
 
-    @pytest.mark.parametrize("mode",
-                             ["serial", "pool", "whole-job", "warm"])
+    @pytest.mark.parametrize("mode", ["serial", "pool", "warm"])
     def test_streamed_records_are_the_result_records(self, mode):
         streamed = []
         results = self._run(mode, on_record=lambda record, done, total:

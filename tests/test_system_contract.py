@@ -94,10 +94,22 @@ class TestRegistryBundle:
             assert header
             getter(configs[0])  # resolvable on every grid point
 
-    def test_store_flag_matches_constructor(self, entry):
-        if entry.supports_store:
-            system = entry.system_type(entry.config_type(), store=None)
-            assert system.store is None
+    def test_register_rejects_non_photonic_system(self):
+        """The engine drives every registered system through the
+        PhotonicSystem store and sub-task seams, with no fallback path,
+        so registration refuses any other system type."""
+        from repro.exceptions import SpecError
+        from repro.systems import registry
+
+        class PlainSystem:
+            def __init__(self, config=None, store=None):
+                self.config = config
+
+        entry = dataclasses.replace(ENTRIES["albireo"], name="plain",
+                                    system_type=PlainSystem)
+        with pytest.raises(SpecError, match="PhotonicSystem"):
+            registry.register_system(entry)
+        assert "plain" not in registry.system_entries()
 
 
 class TestReferenceMappings:
@@ -168,12 +180,12 @@ class TestEngineIntegration:
         jobs = [make_job(tiny_cnn(), config) for config in configs]
         serial = run_jobs(jobs, workers=1)
         cache = EvaluationCache()
-        planned = run_jobs(jobs, workers=2, cache=cache, plan=True)
+        planned = run_jobs(jobs, workers=2, cache=cache)
         assert cache.planner.planned > 0
         assert cache.planner.phase1_tasks > 0
         assert [network_evaluation_to_dict(e) for e in serial] \
             == [network_evaluation_to_dict(e) for e in planned]
-        cacheless = run_jobs(jobs, workers=2, plan=True)
+        cacheless = run_jobs(jobs, workers=2)
         assert [network_evaluation_to_dict(e) for e in serial] \
             == [network_evaluation_to_dict(e) for e in cacheless]
 
@@ -191,8 +203,6 @@ class TestEngineIntegration:
         assert warm.planner.phase1_tasks == 0
 
     def test_store_seam_memoizes(self, entry):
-        if not entry.supports_store:
-            pytest.skip(f"{entry.name} registers supports_store=False")
         cache = EvaluationCache()
         store = SystemStore(cache, "contract-" + entry.name)
         system = entry.system_type(entry.config_type(), store=store)

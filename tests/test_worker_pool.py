@@ -1,10 +1,11 @@
 """Tests for the persistent warm worker pool (:mod:`repro.engine.pool`).
 
-Covers the delta-sync protocol (epoch bumps, warm-entry shipping), the
-slim wire codec (interned batch payloads, typed-column result packing),
-interrupt safety (a cancelled dispatch leaves no orphaned workers and
-the pool stays reusable), and bit-identity of pooled execution against
-serial execution.
+Covers stateless workers (each batch carries the cached mapper entries
+it reads, and nothing else), pool sizing, the slim wire codec (interned
+batch payloads, typed-column result packing), interrupt safety (a
+cancelled dispatch leaves no orphaned workers and the pool stays
+reusable), and bit-identity of pooled execution against serial
+execution.
 """
 
 import multiprocessing
@@ -64,8 +65,8 @@ def _no_orphans():
 
 class TestPoolReuse:
     def test_two_dispatches_one_spawn_bit_identical(self, small_network):
-        """A reused pool spawns once, delta-syncs later dispatches, and
-        stays bit-identical to serial execution."""
+        """A reused pool spawns once, ships no cache entries when no task
+        reads one, and stays bit-identical to serial execution."""
         jobs_a, jobs_b = _grid_a(small_network), _grid_b(small_network)
         serial_a = _dicts(run_jobs(jobs_a, workers=1))
         serial_b = _dicts(run_jobs(jobs_b, workers=1))
@@ -80,42 +81,61 @@ class TestPoolReuse:
         assert warm_b == serial_b
         assert pool.stats.spawns == 1
         assert pool.stats.dispatches == 2
-        assert pool.stats.delta_syncs == 2
-        assert pool.stats.epoch_resets == 0
-        # The second dispatch shipped the first run's warm entries as a
-        # delta instead of a fresh snapshot.
-        assert pool.stats.delta_entries > 0
+        # No use_mapper task reads a cached entry: nothing rides along.
+        assert pool.stats.dep_entries == 0
         assert _no_orphans()
 
-    def test_cache_epoch_bump_reseeds_workers(self, small_network):
-        """``cache.clear()`` bumps the epoch; the pool notices the stale
-        warm copies, reseeds them in-band — without respawning the
-        worker processes — and still computes correct results."""
-        jobs = _grid_a(small_network)
-        serial = _dicts(run_jobs(jobs, workers=1))
-        cache = EvaluationCache()
-        with WorkerPool(workers=2) as pool:
-            first = _dicts(run_jobs(jobs, workers=2, cache=cache,
-                                    pool=pool))
-            epoch_before = cache.epoch
-            cache.clear()
-            assert cache.epoch == epoch_before + 1
-            second = _dicts(run_jobs(jobs, workers=2, cache=cache,
-                                     pool=pool))
-        assert first == serial
-        assert second == serial
-        assert pool.stats.epoch_resets == 1
-        assert pool.stats.spawns == 1
+    def test_cached_searches_ride_with_their_batch(self):
+        """A kept pool's second use_mapper dispatch reads the first one's
+        mapper searches: each chunk carries the cached entries its layer
+        tasks consume (5 LeNet-5 searches x 2 configurations), so no
+        search runs twice, and the records equal serial execution."""
+        from repro.api import Study
 
-    def test_switching_caches_reseeds_workers(self, small_network):
-        """A different cache object also invalidates the warm copies;
-        the reseed likewise rides in-band on the next dispatch."""
-        jobs = _grid_a(small_network)
-        with WorkerPool(workers=2) as pool:
-            run_jobs(jobs, workers=2, cache=EvaluationCache(), pool=pool)
-            run_jobs(jobs, workers=2, cache=EvaluationCache(), pool=pool)
-        assert pool.stats.epoch_resets == 1
+        def study(fused):
+            return (Study().systems("crossbar").networks("lenet5")
+                    .grid(global_buffer_kib=[1024, 2048])
+                    .fusion(fused).options(use_mapper=True))
+
+        cache = EvaluationCache()
+        with WorkerPool(2) as pool:
+            unfused = study(False).run(cache=cache, pool=pool)
+            assert pool.stats.dep_entries == 0
+            assert cache.mapper_search_stats()["searches"] == 10
+            fused = study(True).run(cache=cache, pool=pool)
         assert pool.stats.spawns == 1
+        assert pool.stats.dispatches == 2
+        assert pool.stats.dep_entries == 10
+        assert cache.mapper_search_stats()["searches"] == 10
+        # 10 searches, read once by each run's 10 layer tasks.
+        assert cache.stats["mappings"].misses == 10
+        assert cache.stats["mappings"].hits == 20
+        serial_cache = EvaluationCache()
+        assert unfused.to_records() \
+            == study(False).run(cache=serial_cache).to_records()
+        assert fused.to_records() \
+            == study(True).run(cache=serial_cache).to_records()
+        assert _no_orphans()
+
+    def test_kept_pool_spawns_its_full_worker_count(self):
+        """A kept pool whose first dispatch is a single batch still
+        spawns all its workers, so later, wider dispatches use them."""
+        from repro.api import Study
+
+        narrow = Study().systems("albireo").networks("lenet5", "tiny")
+        wide = (Study().systems("albireo").networks("tiny")
+                .grid(clock_ghz=[3.0, 3.1, 3.2, 3.3]))
+        with WorkerPool(2) as pool:
+            first = narrow.run(cache=EvaluationCache(), pool=pool)
+            assert pool.stats.batches == 1
+            second = wide.run(cache=EvaluationCache(), pool=pool)
+            assert pool.stats.batches == 5
+            assert len(pool._worker_pids()) \
+                == min(2, multiprocessing.cpu_count())
+        assert pool.stats.spawns == 1
+        assert first.to_records() == narrow.run().to_records()
+        assert second.to_records() == wide.run().to_records()
+        assert _no_orphans()
 
     def test_pool_worker_count_overrides_run_jobs_default(self,
                                                           small_network):
@@ -139,7 +159,7 @@ class TestInterruptSafety:
         assert plan is not None and plan.batches
         pool = WorkerPool(workers=2)
         try:
-            stream = pool.run_batches(plan.batches, cache)
+            stream = pool.run_batches(plan.batches)
             next(stream)  # at least one batch answered; workers live
             assert pool.active
             with pytest.raises(KeyboardInterrupt):
@@ -164,7 +184,7 @@ class TestInterruptSafety:
         plan = build_plan(jobs, cache, workers=2)
         pool = WorkerPool(workers=2)
         try:
-            stream = pool.run_batches(plan.batches, cache)
+            stream = pool.run_batches(plan.batches)
             next(stream)
             stream.close()
             assert not pool.active
@@ -196,10 +216,11 @@ class TestWireCodec:
             layers = _decode_layers(layer_specs)
             assert len(contexts) == len(batch) == len(segments)
             for chunk, (ctx_index, codes) in zip(batch, segments):
-                system_name, config, system_key = contexts[ctx_index]
+                system_name, config, system_key, deps = contexts[ctx_index]
                 assert system_name == chunk.system
                 assert config == chunk.config
                 assert system_key == chunk.system_key
+                assert deps is chunk.deps
                 assert len(codes) == len(chunk.tasks)
                 for task, (kind_code, layer_id, flags) in zip(chunk.tasks,
                                                               codes):
@@ -283,12 +304,8 @@ class TestSupervision:
                                        pool=pool, inject=kill))
             assert survived == serial
             assert pool.stats.respawns == 1
-            # The replacement workers were spawned fresh...
+            # The replacement workers were spawned fresh.
             assert pool.stats.spawns == 2
-            # ...and the dead pids' delta markers were pruned, so the
-            # sync bookkeeping tracks only live workers.
-            alive = pool._worker_pids()
-            assert set(pool._sync.marks) <= alive
             # The pool stays reusable after the recovery.
             again = _dicts(run_jobs(_grid_a(small_network), workers=2,
                                     cache=cache, pool=pool))
