@@ -604,7 +604,7 @@ def test_sweep_throughput_benchmark():
         "warm-pool planner@4 must strictly beat serial on the cold grid"
     # Fault tolerance must be (nearly) free when nothing faults: the
     # policy-armed warm-pool run — watchdog timers, failure capture,
-    # quarantine lookups, supervised result wait — stays within 3% of
+    # quarantine lookups — stays within 3% of
     # the unguarded warm-pool median (plus a small absolute floor for
     # scheduler jitter on sub-second runs).
     guarded = timings["planner_workers4_warmpool_faultpolicy"]["median_s"]

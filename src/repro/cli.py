@@ -127,13 +127,6 @@ def _flag_pool(parser: argparse.ArgumentParser) -> None:
         help="persist mapper results and evaluations under DIR "
              "(reused and extended by later runs)",
     )
-    parser.add_argument(
-        "--keep-pool", action="store_true", dest="keep_pool",
-        help="keep one persistent worker pool warm across the command's "
-             "runs (multi-spec `repro run`): workers are spawned once and "
-             "keep their architecture builds and search contexts; each "
-             "batch carries the few cached mapper entries it reads",
-    )
 
 
 def _flag_network(parser: argparse.ArgumentParser) -> None:
@@ -498,8 +491,7 @@ def _cmd_run(args) -> None:
 
     cache = EvaluationCache(args.cache)
     mapper_stats_before = cache.mapper_search_stats()
-    pool = (WorkerPool(args.workers) if getattr(args, "keep_pool", False)
-            else None)
+    pool = WorkerPool(args.workers) if args.keep_pool else None
     lines: List[str] = []
     records: List[dict] = []
     failed_points = 0
@@ -720,6 +712,13 @@ def _args_run(sub: argparse.ArgumentParser) -> None:
              "networks x scenarios x grid x batches x fusion; "
              "multiple specs share one cache (and, with "
              "--keep-pool, one warm worker pool)",
+    )
+    sub.add_argument(
+        "--keep-pool", action="store_true", dest="keep_pool",
+        help="keep one persistent worker pool warm across the specs: "
+             "workers are spawned once and keep their architecture "
+             "builds and search contexts; each batch carries the few "
+             "cached mapper entries it reads",
     )
 
 

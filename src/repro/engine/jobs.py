@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.engine.codec import (
     canonical_json,
@@ -48,29 +48,20 @@ from repro.workloads.network import Network
 _FRAGMENT_MEMO_LIMIT = 4096
 _NETWORK_JSON_MEMO: Dict[int, Tuple[Any, str]] = {}
 _ARCH_JSON_MEMO: Dict[int, Tuple[Any, str]] = {}
+_CONFIG_JSON_MEMO: Dict[int, Tuple[Any, str]] = {}
 
 
-def _network_json(network: Network) -> str:
-    entry = _NETWORK_JSON_MEMO.get(id(network))
-    if entry is not None and entry[0] is network:
+def _memoized_json(memo: Dict[int, Tuple[Any, str]], value: Any,
+                   to_dict: Callable[[Any], Dict[str, Any]]) -> str:
+    """``canonical_json(to_dict(value))``, memoized in ``memo`` by the
+    identity of ``value``."""
+    entry = memo.get(id(value))
+    if entry is not None and entry[0] is value:
         return entry[1]
-    text = canonical_json(network_to_dict(network))
-    if len(_NETWORK_JSON_MEMO) >= _FRAGMENT_MEMO_LIMIT:
-        _NETWORK_JSON_MEMO.clear()
-    _NETWORK_JSON_MEMO[id(network)] = (network, text)
-    return text
-
-
-def _architecture_json(architecture: Any) -> str:
-    from repro.arch.spec import architecture_to_dict
-
-    entry = _ARCH_JSON_MEMO.get(id(architecture))
-    if entry is not None and entry[0] is architecture:
-        return entry[1]
-    text = canonical_json(architecture_to_dict(architecture))
-    if len(_ARCH_JSON_MEMO) >= _FRAGMENT_MEMO_LIMIT:
-        _ARCH_JSON_MEMO.clear()
-    _ARCH_JSON_MEMO[id(architecture)] = (architecture, text)
+    text = canonical_json(to_dict(value))
+    if len(memo) >= _FRAGMENT_MEMO_LIMIT:
+        memo.clear()
+    memo[id(value)] = (value, text)
     return text
 
 
@@ -153,12 +144,15 @@ class EvaluationJob:
         """Canonical JSON of the (architecture, config) identity slice —
         memoized per architecture/config object, shared across the jobs
         of a sweep."""
-        entry = system_registry()[self.system]
+        from repro.arch.spec import architecture_to_dict
         from repro.systems.base import build_cached
 
+        entry = system_registry()[self.system]
         architecture = build_cached(entry.build_architecture, self.config)
-        return (_architecture_json(architecture),
-                canonical_json(config_to_dict(self.config)))
+        return (_memoized_json(_ARCH_JSON_MEMO, architecture,
+                               architecture_to_dict),
+                _memoized_json(_CONFIG_JSON_MEMO, self.config,
+                               config_to_dict))
 
     @property
     def key(self) -> str:
@@ -176,7 +170,8 @@ class EvaluationJob:
                 '{"architecture":' + arch_json
                 + ',"config":' + config_json
                 + ',"kind":"network-evaluation"'
-                + ',"network":' + _network_json(self.network)
+                + ',"network":' + _memoized_json(
+                    _NETWORK_JSON_MEMO, self.network, network_to_dict)
                 + ',"options":' + canonical_json({
                     "fused": self.fused,
                     "use_mapper": self.use_mapper,

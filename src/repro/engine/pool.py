@@ -1,8 +1,8 @@
 """Persistent warm worker pool running stateless, self-contained batches.
 
-:class:`WorkerPool` owns a ``multiprocessing`` pool that *survives across*
-``run_jobs`` calls.  That changes the economics of the parallel sweep
-path in three ways:
+:class:`WorkerPool` owns a :class:`concurrent.futures.ProcessPoolExecutor`
+that *survives across* ``run_jobs`` calls.  That changes the economics
+of the parallel sweep path in three ways:
 
 * **Warm per-worker module state.**  With the fork start method each
   worker keeps its module-level memos between dispatches — the memoized
@@ -34,20 +34,18 @@ path in three ways:
   computed ones.
 
 Interrupt safety: any exception while a dispatch is in flight — a
-``KeyboardInterrupt`` included — terminates and joins the workers before
-propagating, so no orphaned processes linger.  The :class:`WorkerPool`
-object itself stays usable; the next dispatch simply respawns.
+``KeyboardInterrupt`` or an abandoned result iterator included — closes
+the pool (:meth:`WorkerPool.close`, which never signals a worker) before
+propagating, so no orphaned processes linger.  The pool object stays
+usable; the next dispatch simply respawns.
 
-Worker supervision: while blocked waiting for results the pool polls
-the dispatch with a short timeout and checks its worker processes'
-liveness (``Process.is_alive`` plus a pid-set comparison against the
-dispatch-time roster, which also catches workers the ``multiprocessing``
-machinery already silently replaced).  A worker that died — SIGKILL,
-``os._exit``, OOM — costs one batch retry, not a hung sweep: the pool
-tears the process group down, respawns, and re-dispatches only the
-unanswered payloads — unchanged, since each carries its own inputs —
-with a bumped attempt number.  Repeated crashes on the same payloads
-raise :class:`~repro.exceptions.WorkerCrashError` after
+Worker supervision: a worker that dies mid-batch — SIGKILL,
+``os._exit``, OOM — breaks the executor, and the batches it had not
+answered raise ``BrokenProcessPool``.  The pool closes the broken
+executor, respawns, and re-submits only those payloads — unchanged,
+since each carries its own inputs — with a bumped attempt number, so
+one dead worker costs one batch retry, not a hung sweep.  Repeated
+crashes raise :class:`~repro.exceptions.WorkerCrashError` after
 ``max_respawns`` recoveries.
 """
 
@@ -57,7 +55,6 @@ import dataclasses
 import gc
 import multiprocessing
 import signal
-import sys
 from array import array
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -227,9 +224,10 @@ _WORKER_OBS: Optional[Tuple[float, int]] = None
 
 def default_signal_handlers() -> None:
     """Give a forked worker the interpreter's own SIGTERM and SIGINT
-    handling.  Workers inherit the parent's handlers; a daemon's drain
-    handler would make them survive the SIGTERM of ``terminate()``, so
-    closing the pool would wait on them for ever."""
+    handling.  Workers inherit the parent's handlers: a daemon's drain
+    handler would let a worker outlive the SIGTERM the executor sends
+    when a sibling dies, and joining it would wait for ever.  SIGINT
+    raises ``KeyboardInterrupt``, so Ctrl-C ends a running batch."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
 
@@ -332,11 +330,8 @@ def _run_wire_batch(payload):
 
 def pool_context():
     """Fork where available (cheap, inherits warm module state)."""
-    if sys.platform != "win32":
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover
-            pass
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
     return multiprocessing.get_context()  # pragma: no cover
 
 
@@ -386,24 +381,18 @@ class WorkerPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
+        self._size = min(workers, multiprocessing.cpu_count())
         self.stats = PoolStats()
-        #: Result-wait poll interval (seconds): how often the
-        #: supervision loop wakes to check worker liveness while
-        #: blocked on a dispatch.
-        self.supervision_interval = 0.25
         #: Crash-recovery budget *per dispatch*: more worker deaths than
         #: this on one batch set raises WorkerCrashError instead of
         #: respawning forever (a deterministic crasher would loop).
         self.max_respawns = 3
-        self._pool = None
+        self._executor = None
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     @property
     def active(self) -> bool:
         """True while worker processes are alive."""
-        return self._pool is not None
+        return self._executor is not None
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -414,73 +403,35 @@ class WorkerPool:
     def close(self) -> None:
         """Stop the workers and wait for them to exit (idempotent).
 
-        Outside a dispatch every worker is idle, so each one exits on the
-        pool's end-of-work sentinel.  Signalling them instead could catch
-        a worker that has sent its last reply but not yet released the
-        result queue's lock, and the pool's shutdown would then wait on
-        that lock for ever.  The pool object remains usable: the next
-        dispatch respawns.
+        The pool's one way to stop, on every path (a finished run, an
+        error, an interrupt, an abandoned dispatch, a crash respawn):
+        queued batches are cancelled and running ones finish, so on an
+        error path this returns once they end.  No worker is signalled,
+        so none can die holding a lock this waits on.  A task that may
+        never end is the ``task_timeout`` watchdog's job (SIGALRM in the
+        worker); Ctrl-C ends running batches too, since workers keep the
+        default SIGINT handler.  The next dispatch respawns.
         """
-        self._shut_down(kill=False)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
 
-    def _shut_down(self, kill: bool) -> None:
-        """Join the workers; ``kill`` terminates them first (a dispatch
-        was cut short and some may never finish their task)."""
-        if self._pool is not None:
-            if kill:
-                self._pool.terminate()
-            else:
-                self._pool.close()
-            self._pool.join()
-            self._pool = None
+    def _submit(self, payload: tuple):
+        """Submit one batch, starting the executor first if none runs.
+        Under fork the executor forks every worker inside its first
+        ``submit``, so ``executor.pool_spawn`` covers both."""
+        if self._executor is None:
+            # Lazy: a module-level import costs every ``import repro`` 7 ms.
+            from concurrent.futures import ProcessPoolExecutor
 
-    def _ensure_workers(self) -> None:
-        if self._pool is not None:
-            return
-        size = max(1, min(self.workers,
-                          multiprocessing.cpu_count() or self.workers))
-        with obs.span("executor.pool_spawn", workers=size):
-            self._pool = pool_context().Pool(
-                size, initializer=_init_pool_worker)
-        self.stats.spawns += 1
+            self.stats.spawns += 1
+            with obs.span("executor.pool_spawn", workers=self._size):
+                self._executor = ProcessPoolExecutor(
+                    self._size, mp_context=pool_context(),
+                    initializer=_init_pool_worker)
+                return self._submit(payload)
+        return self._executor.submit(_run_wire_batch, payload)
 
-    # ------------------------------------------------------------------
-    # Supervision
-    # ------------------------------------------------------------------
-    def _worker_pids(self) -> Optional[set]:
-        """The live pool's worker pids (None when nothing is spawned).
-
-        Reads the ``multiprocessing.Pool`` internals — stable across
-        every CPython this repo supports — because the public API offers
-        no roster; the supervision loop needs one to tell a lost result
-        from a slow one.
-        """
-        if self._pool is None:
-            return None
-        processes = getattr(self._pool, "_pool", None)
-        if processes is None:  # pragma: no cover - interpreter variance
-            return None
-        return {process.pid for process in processes}
-
-    def _roster_changed(self, roster: set) -> bool:
-        """True when any dispatch-time worker died or was replaced.
-
-        ``multiprocessing.Pool`` silently repopulates dead workers, so a
-        pid-set comparison catches deaths the ``is_alive`` sweep would
-        miss (the corpse is already reaped and replaced); the in-flight
-        task of a replaced worker is lost either way.
-        """
-        processes = getattr(self._pool, "_pool", None) \
-            if self._pool is not None else None
-        if processes is None:  # pragma: no cover - interpreter variance
-            return True
-        if {process.pid for process in processes} != roster:
-            return True
-        return any(not process.is_alive() for process in processes)
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
     def run_batches(
         self,
         batches: List[Any],
@@ -493,11 +444,10 @@ class WorkerPool:
         """Dispatch planner batches; yield ``(index, added, stats,
         trace_events, failed_keys)`` as each answers (completion order).
 
-        The result wait is supervised: a worker process that dies
-        mid-dispatch (see the module docstring) is detected within
-        ``supervision_interval``, the pool respawns, and only the
-        unanswered payloads are re-dispatched, with the attempt number
-        bumped so deterministic fault-injection plans don't re-fire.
+        A batch whose worker died raises ``BrokenProcessPool`` and stays
+        pending: the pool respawns and re-submits it with the attempt
+        number bumped, so deterministic fault-injection plans don't
+        re-fire.  Any other exception a batch raises propagates.
 
         ``guard``/``attempt`` ship the failure-policy watchdog and
         fault-injection context to the workers (see :data:`_Guard`);
@@ -507,9 +457,11 @@ class WorkerPool:
 
         Any exception raised while results are in flight — including a
         ``KeyboardInterrupt`` or the consumer abandoning the iterator —
-        closes the pool before propagating, so no orphaned workers
-        survive a cancelled dispatch.  The pool respawns on next use.
+        closes the pool (:meth:`close`) before propagating.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         pending = {index: _encode_batch(batch)
                    for index, batch in enumerate(batches)}
         self.stats.dispatches += 1
@@ -519,35 +471,29 @@ class WorkerPool:
         respawns = 0
         try:
             while pending:
-                self._ensure_workers()
-                payloads = [(index, obs_config, wire, guard,
-                             attempt + respawns)
-                            for index, wire in pending.items()]
-                roster = self._worker_pids() or set()
-                replies = self._pool.imap_unordered(_run_wire_batch,
-                                                    payloads, chunksize=1)
-                while True:
+                backlog = [(index, obs_config, wire, guard, attempt + respawns)
+                           for index, wire in pending.items()]
+                running: set = set()
+                while backlog or running:
+                    # One batch per worker at a time: none waits in the
+                    # executor's queue, so close() waits only for running ones.
                     try:
-                        reply = replies.next(
-                            timeout=self.supervision_interval)
-                    except multiprocessing.TimeoutError:
-                        if self._roster_changed(roster):
-                            break  # a worker died: recover below
-                        continue
-                    except StopIteration:
-                        break
-                    index, packed, stats, events, failed = reply
-                    pending.pop(index, None)
-                    yield index, _unpack_added(packed), stats, events, \
-                        failed
+                        while backlog and len(running) < self._size:
+                            running.add(self._submit(backlog.pop(0)))
+                    except BrokenProcessPool:
+                        backlog = []  # a worker died: respawn below
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        try:
+                            index, packed, stats, events, failed = \
+                                future.result()
+                        except BrokenProcessPool:
+                            continue  # unanswered: re-submitted below
+                        del pending[index]
+                        yield (index, _unpack_added(packed), stats, events,
+                               failed)
                 if not pending:
                     break
-                # Batches went unanswered: a worker crashed (or the
-                # dispatch drained short, which re-dispatching also
-                # fixes).  Kill the survivors — their sibling's death
-                # may have wedged the shared result queue — respawn and
-                # retry what's left.  One SIGKILL costs one batch retry,
-                # not a hang.
                 respawns += 1
                 self.stats.respawns += 1
                 if respawns > self.max_respawns:
@@ -558,9 +504,7 @@ class WorkerPool:
                         f"crash-inducing task")
                 with obs.span("pool.respawn", round=respawns,
                               pending=len(pending)):
-                    self._shut_down(kill=True)
+                    self.close()
         except BaseException:
-            # A half-finished dispatch leaves workers in an unknown
-            # state; kill them rather than risk stale answers later.
-            self._shut_down(kill=True)
+            self.close()
             raise

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+import time
+
 import pytest
 
 from repro.arch import (
@@ -19,6 +23,29 @@ from repro.workloads import ConvLayer, DataSpace
 from repro.workloads.dims import Dim
 
 W, I, O = DataSpace.WEIGHTS, DataSpace.INPUTS, DataSpace.OUTPUTS
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes_or_threads():
+    """Fail any test that leaves a child process or a non-daemon thread
+    alive: a leaked pool worker or pool thread is how a later shutdown
+    hangs.  Children and threads get the same 2.5 s grace to exit as
+    the worker-pool tests' orphan check."""
+    children = {process.pid for process in multiprocessing.active_children()}
+    threads = {thread for thread in threading.enumerate()
+               if not thread.daemon}
+    yield
+    deadline = time.monotonic() + 2.5
+    while True:
+        leaked = [process for process in multiprocessing.active_children()
+                  if process.pid not in children]
+        leaked += [thread for thread in threading.enumerate()
+                   if not thread.daemon and thread not in threads]
+        if not leaked or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    if leaked:
+        pytest.fail(f"test left running: {leaked}")
 
 
 @pytest.fixture

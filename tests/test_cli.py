@@ -246,6 +246,17 @@ class TestRunMultiSpec:
         assert pool_stats["dispatches"] >= 1
         assert pool_stats["dep_entries"] == 0
 
+    @pytest.mark.parametrize("command",
+                             ["fig4", "fig5", "all", "compare", "sweep"])
+    def test_keep_pool_is_rejected_outside_run(self, command, capsys):
+        """Only `repro run` keeps a pool across several runs, so the other
+        sweep-shaped commands refuse --keep-pool instead of ignoring it."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--keep-pool"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --keep-pool" \
+            in capsys.readouterr().err
+
 
 class TestServeSubmitCli:
     def test_serve_and_submit_registered(self):

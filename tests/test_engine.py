@@ -119,6 +119,29 @@ class TestJobs:
                            **options)
             assert job.key == content_hash(job.to_dict()), options
 
+    def test_config_serialized_once_per_config_object(self, small_network,
+                                                      monkeypatch):
+        """Job keys and system keys share one memoized config JSON per
+        config object, however many jobs and key reads use it."""
+        from repro.engine import jobs as jobs_module
+
+        calls = []
+        original = jobs_module.config_to_dict
+
+        def counting(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(jobs_module, "config_to_dict", counting)
+        monkeypatch.setattr(jobs_module, "_CONFIG_JSON_MEMO", {})
+        configs = [AlbireoConfig(clusters=clusters)
+                   for clusters in (4, 8, 16)]
+        for config in configs:
+            for fused in (False, True):
+                job = make_job(small_network, config, fused=fused)
+                assert job.key and job_system_key(job)
+        assert len(calls) == len(configs)
+
     def test_key_stable_across_processes(self, small_network):
         """The content hash must not depend on PYTHONHASHSEED."""
         job = make_job(small_network, AlbireoConfig())

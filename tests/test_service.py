@@ -562,9 +562,8 @@ class TestDaemonProcess:
     def test_failing_point_fails_the_job_and_frees_the_queue(self,
                                                              tmp_path):
         """Pool workers fork after the daemon installs its drain handler.
-        Keeping that handler, they would survive the pool's SIGTERM: the
-        failing job would stay ``running`` and every later submit would
-        queue behind it."""
+        A failing point must still fail its job, not leave it ``running``
+        with every later submit queued behind it."""
         process, url = self._spawn(tmp_path, "--workers", "2")
 
         def final_status(handle, timeout=30.0):

@@ -8,7 +8,12 @@ reusable), and bit-identity of pooled execution against serial
 execution.
 """
 
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -61,6 +66,19 @@ def _no_orphans():
             return True
         time.sleep(0.05)
     return not multiprocessing.active_children()
+
+
+def _group_gone(pgid):
+    """True once no process of group ``pgid`` is left (2.5 s grace)."""
+    deadline = time.monotonic() + 2.5
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.05)
 
 
 class TestPoolReuse:
@@ -130,7 +148,7 @@ class TestPoolReuse:
             assert pool.stats.batches == 1
             second = wide.run(cache=EvaluationCache(), pool=pool)
             assert pool.stats.batches == 5
-            assert len(pool._worker_pids()) \
+            assert len(multiprocessing.active_children()) \
                 == min(2, multiprocessing.cpu_count())
         assert pool.stats.spawns == 1
         assert first.to_records() == narrow.run().to_records()
@@ -151,8 +169,8 @@ class TestPoolReuse:
 
 class TestInterruptSafety:
     def test_interrupt_mid_dispatch_closes_cleanly(self, small_network):
-        """A KeyboardInterrupt while results are in flight terminates the
-        workers (no orphans) and the pool object remains reusable."""
+        """A KeyboardInterrupt while results are in flight closes the
+        pool (no orphans) and the pool object remains reusable."""
         jobs = _grid_b(small_network)
         cache = EvaluationCache()
         plan = build_plan(jobs, cache, workers=2)
@@ -191,6 +209,35 @@ class TestInterruptSafety:
             assert _no_orphans()
         finally:
             pool.close()
+
+    def test_ctrl_c_stops_a_pooled_run_promptly(self, tmp_path):
+        """Ctrl-C reaches the whole process group: the workers' running
+        batches end and no queued batch starts, although every layer
+        task of this 12-point, 2-worker run would sleep for 30 s."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        plan = tmp_path / "sleep.json"
+        plan.write_text(json.dumps([{"match": "*:*:layer",
+                                     "action": "sleep", "seconds": 30.0}]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "examples/study_spec.json",
+             "--workers", "2", "--inject", str(plan)],
+            cwd=root, env=dict(os.environ, PYTHONPATH=os.path.join(root,
+                                                                   "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
+        try:
+            time.sleep(2.0)  # dispatched: both workers are sleeping
+            interrupted = time.monotonic()
+            os.killpg(process.pid, signal.SIGINT)
+            process.wait(timeout=25)
+            assert time.monotonic() - interrupted < 10
+            assert _group_gone(process.pid)
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait()
 
     def test_close_is_idempotent_and_context_manager_closes(self):
         pool = WorkerPool(workers=2)
@@ -291,9 +338,9 @@ class TestSupervision:
     def test_sigkilled_worker_respawns_and_completes_bit_identical(
             self, small_network):
         """A worker SIGKILLing itself mid-batch (the OOM-killer stand-in,
-        delivered deterministically by the fault plan on attempt 0) is
-        detected by the supervised result wait; the pool respawns once
-        and the sweep still matches serial execution bit for bit."""
+        delivered deterministically by the fault plan on attempt 0)
+        breaks the executor; the pool respawns once and the sweep still
+        matches serial execution bit for bit."""
         jobs = _grid_b(small_network)
         serial = _dicts(run_jobs(jobs, workers=1))
         cache = EvaluationCache()
@@ -353,4 +400,21 @@ class TestSupervision:
                                        pool=pool, inject=exit_once))
         assert survived == serial
         assert pool.stats.respawns == 1
+        assert _no_orphans()
+
+    def test_worker_killed_while_idle_is_replaced(self, small_network):
+        """A kept pool whose worker dies between dispatches is broken:
+        the executor stops the other worker too.  The next dispatch
+        respawns once and completes."""
+        jobs = _grid_a(small_network)
+        with WorkerPool(workers=2) as pool:
+            run_jobs(jobs, workers=2, cache=EvaluationCache(), pool=pool)
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            assert _no_orphans()
+            again = _dicts(run_jobs(jobs, workers=2,
+                                    cache=EvaluationCache(), pool=pool))
+        assert again == _dicts(run_jobs(jobs, workers=1))
+        assert pool.stats.respawns == 1
+        assert pool.stats.spawns == 2
         assert _no_orphans()
