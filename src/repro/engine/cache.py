@@ -523,11 +523,16 @@ class SystemStore:
     with structural keys (tuples of scalars); the store scopes them under
     the system's configuration hash so different configurations never
     collide.
+
+    ``counts_memo`` is the run's reference-counts memo (see
+    :mod:`repro.systems.base`); it is never persisted.
     """
 
-    def __init__(self, cache: EvaluationCache, system_key: str) -> None:
+    def __init__(self, cache: EvaluationCache, system_key: str,
+                 counts_memo: Optional[Dict] = None) -> None:
         self.cache = cache
         self.system_key = system_key
+        self.counts_memo = counts_memo
 
     def _key(self, key: Iterable[Any]) -> str:
         return store_entry_key(self.system_key, key)

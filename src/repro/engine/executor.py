@@ -187,7 +187,8 @@ def strip_dram(evaluation: NetworkEvaluation) -> NetworkEvaluation:
 
 
 def _compute_job(job: EvaluationJob,
-                 cache: Optional[EvaluationCache]) -> NetworkEvaluation:
+                 cache: Optional[EvaluationCache],
+                 counts_memo: Optional[Dict] = None) -> NetworkEvaluation:
     """Evaluate ``job`` (no whole-result cache lookup; sub-results cached).
 
     The identity dict (an architecture build + full serialization) is only
@@ -197,7 +198,7 @@ def _compute_job(job: EvaluationJob,
     entry = system_registry()[job.system]
     with obs.span("job.compute", job=job.describe(), system=job.system):
         with obs.span("system.build", system=job.system):
-            store = (SystemStore(cache, job_system_key(job))
+            store = (SystemStore(cache, job_system_key(job), counts_memo)
                      if cache is not None else None)
             system = entry.system_type(job.config, store=store)
         evaluation = system.evaluate_network(
@@ -223,18 +224,19 @@ def run_job(job: EvaluationJob,
 
 def _guarded_compute(job: EvaluationJob,
                      cache: Optional[EvaluationCache],
-                     guard, attempt: int) -> NetworkEvaluation:
+                     guard, attempt: int,
+                     counts_memo: Dict) -> NetworkEvaluation:
     """:func:`_compute_job` under the failure-policy guard: arm the
     task-deadline watchdog and consult the fault-injection plan.  With
     ``guard=None`` this is exactly ``_compute_job`` (zero overhead)."""
     if guard is None:
-        return _compute_job(job, cache)
+        return _compute_job(job, cache, counts_memo)
     timeout, _capture, plan_wire = guard
     plan = faults.FaultPlan.from_wire(plan_wire)
     with faults.task_deadline(timeout):
         if plan is not None:
             plan.check(faults.job_task_key(job), attempt)
-        return _compute_job(job, cache)
+        return _compute_job(job, cache, counts_memo)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +285,12 @@ def run_jobs(
     serial completions, parallel phase-2 assembly, quarantine
     pre-skips, and finalized failures alike — so callers can stream
     results out while later jobs are still running.
+
+    Jobs computed in-process share this call's memo of reference counts
+    (see :mod:`repro.systems.base`); no cache or pool worker sees it.
     """
     cache = _as_cache(cache)
+    counts_memo: Dict = {}
     if pool is not None:
         workers = max(workers, pool.workers)
     jobs = list(jobs)
@@ -347,7 +353,8 @@ def run_jobs(
         while remaining:
             round_failures: Dict[int, Tuple[str, str]] = {}
             _execute_round(jobs, remaining, results, cache, workers, pool,
-                           guard, attempt, round_failures, on_record)
+                           guard, attempt, round_failures, counts_memo,
+                           on_record)
             if not round_failures:
                 break
             if cache is not None:
@@ -405,6 +412,7 @@ def _execute_round(
     guard,
     attempt: int,
     round_failures: Dict[int, Tuple[str, str]],
+    counts_memo: Dict,
     on_record: Optional[OnRecordFn] = None,
 ) -> None:
     """One (re)attempt at the given miss indices (see :func:`run_jobs`).
@@ -450,7 +458,7 @@ def _execute_round(
                             network_evaluation_from_dict(result_dict)
                     else:  # an entry is missing: evaluate normally
                         results[index] = _guarded_compute(
-                            job, work_cache, guard, attempt)
+                            job, work_cache, guard, attempt, counts_memo)
                 except _SubTaskFailed as failed:
                     # A sub-task this job needs failed under the guard.
                     # Do NOT fall back to parent-side compute — a
@@ -471,7 +479,7 @@ def _execute_round(
             for index in misses:
                 try:
                     results[index] = _guarded_compute(
-                        jobs[index], cache, guard, attempt)
+                        jobs[index], cache, guard, attempt, counts_memo)
                 except Exception as error:
                     if not capture:
                         raise

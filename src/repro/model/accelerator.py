@@ -3,8 +3,9 @@
 :class:`AcceleratorModel` binds an :class:`~repro.arch.hierarchy.Architecture`
 to an :class:`~repro.energy.table.EnergyTable` and evaluates workloads:
 
-* :meth:`evaluate_layer` — run the access-count analysis for one mapping and
-  price every storage access, conversion event, and compute action.
+* :meth:`evaluate_layer` — :meth:`counts` (the access-count analysis of
+  one mapping), then :meth:`price` (fusion's DRAM elision, then per-action
+  energies): CiMLoop's split, so a clock or scenario sweep re-prices.
 * :meth:`evaluate_network` — evaluate every (unique) layer of a network with
   caller-supplied mappings, applying the system-level options the paper's
   Fig. 4 explores: **batching** (amortize weight DRAM traffic over the
@@ -36,6 +37,8 @@ from repro.mapping.analysis import (
     BatchNestAnalyzer,
     NestAnalyzer,
     SearchContext,
+    StorageCounts,
+    compute_traffic,
 )
 from repro.mapping.mapping import Mapping
 from repro.model.results import (
@@ -122,7 +125,7 @@ class AcceleratorModel:
         context: Optional[SearchContext] = None,
         validated: bool = False,
     ) -> LayerEvaluation:
-        """Analyze and price one layer under ``mapping``.
+        """Analyze and price one layer: :meth:`price` of :meth:`counts`.
 
         ``input_from_dram=False`` / ``output_to_dram=False`` implement
         fusion: the corresponding DRAM traffic (and the matching buffer
@@ -133,6 +136,20 @@ class AcceleratorModel:
         windows, most of which the hardware discards) while reporting
         per-MAC energy and utilization against the original layer's real
         work.
+        """
+        target = analysis_layer if analysis_layer is not None else layer
+        counts = self.counts(target, mapping, check_capacity=check_capacity,
+                             context=context, validated=validated)
+        return self.price(layer, counts, input_from_dram, output_to_dram,
+                          analysis_layer=analysis_layer)
+
+    def counts(self, layer: ConvLayer, mapping: Mapping,
+               check_capacity: bool = True,
+               context: Optional[SearchContext] = None,
+               validated: bool = False) -> AccessCounts:
+        """The action counts of ``layer`` (the executed workload) under
+        ``mapping`` with every tensor crossing DRAM; independent of the
+        energy table and the clock.
 
         ``context`` shares a :class:`~repro.mapping.analysis.SearchContext`
         (memoized nest geometry) across evaluations of the same
@@ -140,14 +157,21 @@ class AcceleratorModel:
         re-validating a mapping the caller has already validated against
         the analysis target (the mapper's validate-once protocol).
         """
-        target = analysis_layer if analysis_layer is not None else layer
-        analyzer = NestAnalyzer(self.architecture, target, mapping,
+        analyzer = NestAnalyzer(self.architecture, layer, mapping,
                                 check_capacity=check_capacity,
                                 context=context,
                                 validate=not validated)
-        counts = analyzer.analyze()
-        counts = self._apply_dram_elision(counts, target, input_from_dram,
-                                          output_to_dram)
+        return analyzer.analyze()
+
+    def price(self, layer: ConvLayer, counts: AccessCounts,
+              input_from_dram: bool = True, output_to_dram: bool = True,
+              analysis_layer: Optional[ConvLayer] = None) -> LayerEvaluation:
+        """Price :meth:`counts` (read only) for the reported ``layer``,
+        eliding fusion's DRAM traffic from a copy; pass ``analysis_layer``
+        when they count a transformed workload."""
+        counts = self._apply_dram_elision(
+            counts, analysis_layer if analysis_layer is not None else layer,
+            input_from_dram, output_to_dram)
         energy = self._price(counts)
         groups = layer.groups
         real_macs = layer.macs if analysis_layer is not None \
@@ -424,36 +448,41 @@ class AcceleratorModel:
         The elided traffic is symmetric: DRAM reads of inputs equal the
         buffer's input fills (they are the same transfers), and DRAM writes
         of outputs equal the buffer's outgoing writeback reads.
+        ``counts`` may be shared, so the result is a new object.
         """
         if input_from_dram and output_to_dram:
             return counts
         outer_name = self.architecture.storage_levels[0].name
         inner_de = self._innermost_de_buffer()
-        outer = counts.storage[outer_name]
-        buffer_counts = counts.storage[inner_de]
+        storage = dict(counts.storage)
+        for name in (outer_name, inner_de):
+            storage[name] = StorageCounts(dict(storage[name].reads),
+                                          dict(storage[name].writes))
+        outer, buffer_counts = storage[outer_name], storage[inner_de]
+        conversions = dict(counts.conversions)
         if not input_from_dram:
             elided = outer.reads.pop(DataSpace.INPUTS, 0.0)
             fills = buffer_counts.writes.get(DataSpace.INPUTS, 0.0)
             buffer_counts.writes[DataSpace.INPUTS] = max(0.0, fills - elided)
-            self._elide_interface_conversions(counts, inner_de,
+            self._elide_interface_conversions(conversions, inner_de,
                                               DataSpace.INPUTS)
         if not output_to_dram:
             elided = outer.writes.pop(DataSpace.OUTPUTS, 0.0)
             outer.reads.pop(DataSpace.OUTPUTS, None)
             drains = buffer_counts.reads.get(DataSpace.OUTPUTS, 0.0)
             buffer_counts.reads[DataSpace.OUTPUTS] = max(0.0, drains - elided)
-            self._elide_interface_conversions(counts, inner_de,
+            self._elide_interface_conversions(conversions, inner_de,
                                               DataSpace.OUTPUTS)
         # Traffic changed; refresh the bandwidth picture.
-        from repro.mapping.analysis import compute_traffic
+        traffic_bits, bandwidth_cycles = compute_traffic(
+            self.architecture, layer, storage, counts.instances)
+        return replace(counts, storage=storage, conversions=conversions,
+                       traffic_bits=traffic_bits,
+                       bandwidth_cycles=bandwidth_cycles)
 
-        counts.traffic_bits, counts.bandwidth_cycles = compute_traffic(
-            self.architecture, layer, counts.storage, counts.instances)
-        return counts
-
-    def _elide_interface_conversions(self, counts: AccessCounts,
-                                     buffer_name: str,
-                                     dataspace: DataSpace) -> None:
+    def _elide_interface_conversions(
+            self, conversions: Dict[str, Dict[DataSpace, float]],
+            buffer_name: str, dataspace: DataSpace) -> None:
         """Zero converter events above the on-chip buffer for a dataspace.
 
         When fusion keeps a tensor on chip, memory-interface converters
@@ -466,7 +495,8 @@ class AcceleratorModel:
                 break
             if isinstance(node, ConverterStage) \
                     and dataspace in node.dataspaces:
-                counts.conversions[node.name][dataspace] = 0.0
+                conversions[node.name] = dict(conversions[node.name])
+                conversions[node.name][dataspace] = 0.0
 
     def _innermost_de_buffer(self) -> str:
         """The buffer that holds fused inter-layer activations."""

@@ -24,19 +24,22 @@ Transports (both speak :mod:`repro.service.protocol`):
   also the supervisor-friendly embedding (no port to allocate).
 
 Shutdown is graceful: SIGTERM (and SIGINT) stop intake, drain the
-queue — accepted studies finish and their streams complete — then stop
-the listener and close the pool.
+queue — accepted studies finish — wait (bounded) until every open event
+stream has written its last event, then stop the listener and close the
+pool.  Handler threads are daemon threads, so nothing else would keep
+the process alive for a stream still being written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import signal
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterator, Optional, TextIO, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro import obs
@@ -181,7 +184,13 @@ class ReproService:
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """Threaded stdlib server bound to one :class:`ReproService`."""
+    """Threaded stdlib server bound to one :class:`ReproService`.
+
+    Handler threads are daemon threads: with HTTP/1.1 keep-alive, joining
+    them would block shutdown on any idle connection.  Instead the server
+    counts the event streams in flight, and :func:`serve` waits for them
+    to finish before it exits.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -191,6 +200,26 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, ServiceRequestHandler)
         self.service = service
         self.heartbeat = heartbeat
+        self._streams = 0
+        self._streams_changed = threading.Condition()
+
+    @contextlib.contextmanager
+    def streaming(self) -> Iterator[None]:
+        """Count one event stream as in flight for the ``with`` body."""
+        with self._streams_changed:
+            self._streams += 1
+        try:
+            yield
+        finally:
+            with self._streams_changed:
+                self._streams -= 1
+                self._streams_changed.notify_all()
+
+    def wait_for_streams(self, timeout: float) -> bool:
+        """Block until no event stream is in flight (False on timeout)."""
+        with self._streams_changed:
+            return self._streams_changed.wait_for(
+                lambda: self._streams == 0, timeout)
 
     @property
     def url(self) -> str:
@@ -328,9 +357,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
         try:
-            for body in job.stream(since=since, heartbeat=heartbeat):
-                self._write_chunk(protocol.encode_event(body))
-            self.wfile.write(b"0\r\n\r\n")
+            with self.server.streaming():
+                for body in job.stream(since=since, heartbeat=heartbeat):
+                    self._write_chunk(protocol.encode_event(body))
+                self.wfile.write(b"0\r\n\r\n")
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
 
@@ -354,6 +384,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
 
+#: Seconds :func:`serve` waits, after the queue drains, for event streams
+#: still writing their jobs' last events.
+STREAM_DRAIN_TIMEOUT = 10.0
+
+
 def make_server(service: ReproService, host: str = "127.0.0.1",
                 port: int = 0,
                 heartbeat: float = 10.0) -> ServiceHTTPServer:
@@ -371,7 +406,8 @@ def serve(service: ReproService, host: str = "127.0.0.1", port: int = 0,
     Prints one parseable banner line (``repro-service listening on
     <url> ...``) to ``banner`` (default stdout) once bound, then serves
     until SIGTERM/SIGINT: intake stops (submits answer 503), accepted
-    studies finish and their event streams complete, then the listener
+    studies finish and their event streams complete (waiting up to
+    ``STREAM_DRAIN_TIMEOUT`` seconds for the streams), then the listener
     closes.  Returns the process exit code.
     """
     httpd = make_server(service, host=host, port=port, heartbeat=heartbeat)
@@ -383,6 +419,7 @@ def serve(service: ReproService, host: str = "127.0.0.1", port: int = 0,
 
     def _drain_and_stop() -> None:
         service.drain()
+        httpd.wait_for_streams(STREAM_DRAIN_TIMEOUT)
         httpd.shutdown()
 
     def _on_signal(signum, frame) -> None:

@@ -23,6 +23,12 @@ shared-:class:`~repro.mapping.analysis.SearchContext` candidate pricing,
 fusion-aware network evaluation — is inherited, so every registered
 system gets warmed-cache parallel sweeps for free.
 
+Reference candidates are analyzed once per *geometry* (the system type,
+the architecture's nodes and every config field but the energy-only
+``clock_ghz`` and ``scenario``) and priced per configuration.  The
+sharing lasts one engine run: :func:`~repro.engine.executor.run_jobs`
+hands the systems it builds a fresh memo through their ``store``.
+
 Architecture and energy-table builds are memoized per (builder, config)
 in :func:`build_cached`: configs are frozen dataclasses, so equal configs
 (across system instances, sweep jobs, and the engine's job-identity
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 from typing import (
     Any,
     Callable,
@@ -47,8 +54,8 @@ from typing import (
 from repro import obs
 from repro.arch.hierarchy import Architecture
 from repro.energy.table import EnergyTable
-from repro.exceptions import SpecError
-from repro.mapping.analysis import SearchContext
+from repro.exceptions import MappingError, SpecError
+from repro.mapping.analysis import AccessCounts, SearchContext
 from repro.mapping.constraints import MappingConstraints
 from repro.mapping.mapper import Mapper, MapperResult
 from repro.mapping.mapping import Mapping
@@ -74,6 +81,9 @@ from repro.workloads.network import Network
 #: a fresh object).
 _BUILD_CACHE: Dict[Tuple[Any, ...], Any] = {}
 _BUILD_CACHE_LIMIT = 4096
+
+#: Config fields only the energy table may read (see the module docstring).
+_ENERGY_ONLY_FIELDS = ("clock_ghz", "scenario")
 
 
 def build_cached(builder: Callable[[Any], Any], config: Any) -> Any:
@@ -180,7 +190,8 @@ class PhotonicSystem(abc.ABC):
         self.energy_table: EnergyTable = build_cached(
             type(self).build_energy_table, self.config)
         self.model = AcceleratorModel(self.architecture, self.energy_table)
-        self._mapping_cache: Dict[Tuple, Mapping] = {}
+        #: Layer shape -> (reference winner, its counts or None).
+        self._mapping_cache: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
     # Subclass hooks
@@ -202,6 +213,10 @@ class PhotonicSystem(abc.ABC):
         Called with the *analysis* layer (post :meth:`analysis_layer`).
         A single-element sequence short-circuits pricing; several elements
         are priced with the full model and the cheapest wins.
+
+        Contract: like :meth:`analysis_layer`, they may not read
+        ``clock_ghz`` or ``scenario``: configs of one run that differ only
+        in those share the candidates and their counts.
         """
 
     def constraints(self, layer: ConvLayer) -> MappingConstraints:
@@ -219,45 +234,85 @@ class PhotonicSystem(abc.ABC):
     def reference_mapping(self, layer: ConvLayer) -> Mapping:
         """The cheapest of the reference-mapping candidates for this layer.
 
-        Candidates (a handful of tiling/permutation variants) are priced
-        with the full model and the result is cached per layer shape.
+        Candidates (tiling/permutation variants) are analyzed once per
+        geometry, priced per configuration, and cached per layer shape.
         """
-        target = self.analysis_layer(layer)
+        return self._reference(self.analysis_layer(layer))[0]
+
+    def _reference(self, target: ConvLayer, counted: bool = False
+                   ) -> Tuple[Mapping, Optional[AccessCounts]]:
+        """The winner for an analysis layer and its counts (both DRAM
+        flags on).  A lone candidate is analyzed only if ``counted``."""
         key = layer_shape_key(target)
-        cached = self._mapping_cache.get(key)
-        if cached is not None:
-            return cached
-        with obs.span("refmap.candidates", layer=target.name):
-            candidates = list(self.mapping_candidates(target))
-        if len(candidates) == 1:
-            # Deterministic single-variant systems skip pricing entirely.
-            best_mapping: Optional[Mapping] = candidates[0]
-        else:
-            with obs.span("refmap.select", layer=target.name,
-                          candidates=len(candidates)):
-                best_mapping = None
-                best_cost = float("inf")
-                # One shared search context across the candidate pricing
-                # loop: the candidates differ only in
-                # tilings/permutations, so the memoized nest geometry
-                # (tile sizes, fill events) hits across them.
+        best = self._mapping_cache.get(key) or self._select(target, key)
+        if counted and best[1] is None:
+            best = (best[0], self.model.counts(target, best[0]))
+            if self._shared_counts is not None:
+                self._shared_counts[key] = (best,)
+        self._mapping_cache[key] = best
+        return best
+
+    @functools.cached_property
+    def _shared_counts(self) -> Optional[Dict[Tuple, Tuple]]:
+        """This geometry's part of the run's memo (shape -> ``((candidate,
+        counts or None if invalid), ...)``), looked up on the first
+        reference miss: layers that all come from the store never hash it.
+        """
+        memo = self.store.counts_memo if self.store is not None else None
+        if memo is None:
+            return None
+        geometry = (type(self), self.architecture.nodes, tuple(
+            getattr(self.config, field.name)
+            for field in dataclasses.fields(self.config)
+            if field.name not in _ENERGY_ONLY_FIELDS))
+        try:
+            return memo.setdefault(geometry, {})
+        except TypeError:  # unhashable custom config: no sharing
+            return None
+
+    def _select(self, target: ConvLayer,
+                key: Tuple) -> Tuple[Mapping, Optional[AccessCounts]]:
+        """The candidate this energy table prices cheapest (strict ``<``
+        in candidate order), from the run's memo when it has the shape."""
+        shared = self._shared_counts
+        analyzed = shared.get(key) if shared is not None else None
+        if analyzed is None:
+            with obs.span("refmap.candidates", layer=target.name):
+                candidates = list(self.mapping_candidates(target))
+            if len(candidates) == 1:
+                # Deterministic single-variant systems skip pricing.
+                return candidates[0], None
+        elif len(analyzed) == 1:
+            return analyzed[0]
+        best, best_cost = None, float("inf")
+        with obs.span("refmap.select", layer=target.name,
+                      candidates=len(candidates if analyzed is None
+                                     else analyzed)):
+            if analyzed is None:
+                # One search context serves every candidate.  The entry is
+                # written once all are analyzed: an interrupted shape has none.
                 context = SearchContext.for_layer(self.architecture, target)
+                analyzed = []
                 for mapping in candidates:
                     try:
-                        cost = self.model.evaluate_layer(
-                            target, mapping, context=context).energy_pj
-                    except Exception:  # invalid candidate (capacity, ...)
-                        continue
+                        counts = self.model.counts(target, mapping,
+                                                   context=context)
+                    except MappingError:  # only an invalid candidate
+                        counts = None     # is skipped; the rest propagate
+                    analyzed.append((mapping, counts))
+                analyzed = tuple(analyzed)
+                if shared is not None:
+                    shared[key] = analyzed
+            for mapping, counts in analyzed:
+                if counts is not None:
+                    cost = self.model.price(target, counts).energy_pj
                     if cost < best_cost:
-                        best_cost = cost
-                        best_mapping = mapping
-        if best_mapping is None:
+                        best, best_cost = (mapping, counts), cost
+        if best is None:
             raise SpecError(
-                f"no valid reference mapping for layer {layer.name!r} on "
-                f"{self.config.describe()}"
-            )
-        self._mapping_cache[key] = best_mapping
-        return best_mapping
+                f"no valid reference mapping for layer {target.name!r} on "
+                f"{self.config.describe()}")
+        return best
 
     def _mapper_store_key(self, layer: ConvLayer,
                           max_evaluations: int = 1000,
@@ -325,19 +380,19 @@ class PhotonicSystem(abc.ABC):
             if cached is not None:
                 # The entry may hold another same-shape layer.
                 return dataclasses.replace(cached, layer=layer)
+        analysis_layer = target if target is not layer else None
         with obs.span("layer.evaluate", layer=layer.name,
                       use_mapper=use_mapper):
-            if mapping is None:
-                if use_mapper:
-                    mapping = self.search_mapping(layer).mapping
-                else:
-                    mapping = self.reference_mapping(layer)
-            evaluation = self.model.evaluate_layer(
-                layer, mapping,
-                input_from_dram=input_from_dram,
-                output_to_dram=output_to_dram,
-                analysis_layer=(target if target is not layer else None),
-            )
+            if mapping is None and use_mapper:
+                mapping = self.search_mapping(layer).mapping
+            if mapping is None:  # counted to choose it: not analyzed again
+                counts = self._reference(target, counted=True)[1]
+            else:
+                counts = self.model.counts(target, mapping)
+            # A fused block prices an elided copy of the counts.
+            evaluation = self.model.price(
+                layer, counts, input_from_dram, output_to_dram,
+                analysis_layer=analysis_layer)
         if store_key is not None:
             self.store.save_layer(store_key, evaluation)
         return evaluation

@@ -17,9 +17,15 @@ import sys
 
 import pytest
 
+from repro.engine import EvaluationCache, FailurePolicy, make_job, run_jobs
+from repro.engine.cache import SystemStore
+from repro.engine.codec import network_evaluation_to_dict
+from repro.exceptions import TaskTimeoutError
+from repro.mapping.analysis import NestAnalyzer
 from repro.mapping.mapping import Mapping
 from repro.systems.albireo import (
     AlbireoConfig,
+    AlbireoSystem,
     albireo_analysis_layer,
     albireo_mapping_candidates,
     albireo_reference_mapping,
@@ -30,7 +36,12 @@ from repro.systems.wdm_delay import (
     wdm_delay_mapping_candidates,
     wdm_delay_reference_mapping,
 )
-from repro.workloads import ConvLayer, network_by_name, network_names
+from repro.workloads import (
+    ConvLayer,
+    Network,
+    network_by_name,
+    network_names,
+)
 
 PROTECTIONS = ("weights", "inputs", "outputs")
 ALBIREO_MODES = tuple(itertools.product(("fill", "divisor"),
@@ -146,6 +157,67 @@ class TestConstructionCounts:
                             WdmDelayConfig(global_buffer_kib=kib),
                             entry.layer))
         assert built[0] == returned == expected
+
+
+class TestCandidateErrors:
+    """Only an invalid candidate is skipped; any other error propagates.
+
+    The task watchdog raises :class:`TaskTimeoutError` from SIGALRM
+    wherever the task happens to be.  Read as "invalid candidate", it
+    used to make the run store a costlier winner as an ordinary result.
+    """
+
+    LAYER = ConvLayer(name="conv", m=64, c=64, p=56, q=56, r=3, s=3)
+
+    @staticmethod
+    def _times_out_on(monkeypatch, mapping, times=None):
+        """Make analysing ``mapping`` raise the watchdog's error (every
+        time, or only the first ``times`` times)."""
+        analyze = NestAnalyzer.analyze
+        left = [times]
+
+        def timing_out(self):
+            if self.mapping == mapping and left[0] != 0:
+                if left[0] is not None:
+                    left[0] -= 1
+                raise TaskTimeoutError("task exceeded its 1s deadline")
+            return analyze(self)
+
+        monkeypatch.setattr(NestAnalyzer, "analyze", timing_out)
+
+    def test_timeout_while_choosing_propagates(self, monkeypatch):
+        target = albireo_analysis_layer(self.LAYER)
+        candidates = AlbireoSystem().mapping_candidates(target)
+        winner = AlbireoSystem().reference_mapping(self.LAYER)
+        assert len(candidates) == 2 and winner in candidates
+        self._times_out_on(monkeypatch, winner)
+        with pytest.raises(TaskTimeoutError):
+            AlbireoSystem().reference_mapping(self.LAYER)
+
+    def test_retry_in_the_same_run_finds_the_true_winner(self, monkeypatch):
+        winner = AlbireoSystem().reference_mapping(self.LAYER)
+        memo = {}
+        system = AlbireoSystem(
+            store=SystemStore(EvaluationCache(), "albireo", memo))
+        self._times_out_on(monkeypatch, winner, times=1)
+        with pytest.raises(TaskTimeoutError):
+            system.reference_mapping(self.LAYER)
+        # The interrupted shape left no memo entry behind.
+        assert [shapes for shapes in memo.values() if shapes] == []
+        assert system.reference_mapping(self.LAYER) == winner
+
+    def test_retried_job_matches_an_undisturbed_run(self, monkeypatch):
+        job = make_job(Network.from_layers("conv", [self.LAYER]),
+                       AlbireoConfig())
+        expected = network_evaluation_to_dict(run_jobs([job])[0])
+        self._times_out_on(monkeypatch,
+                           AlbireoSystem().reference_mapping(self.LAYER),
+                           times=1)
+        cache = EvaluationCache()
+        [result] = run_jobs([job], cache=cache, failure_policy=FailurePolicy(
+            on_error="retry", max_retries=1, backoff=0))
+        assert network_evaluation_to_dict(result) == expected
+        assert cache.resilience.retries == 1
 
 
 def test_records_do_not_depend_on_hash_seed():

@@ -522,13 +522,34 @@ class TestStdioService:
 # ---------------------------------------------------------------------------
 
 
+#: Runs ``repro`` with a stream handler that pauses before it writes a
+#: job's ``done`` event, so a SIGTERM drain is sure to find a stream
+#: still writing after the queue has drained.
+SLOW_DONE_WRAPPER = """
+import json, sys, time
+from repro.cli import main
+from repro.service.server import ServiceRequestHandler
+
+write_chunk = ServiceRequestHandler._write_chunk
+
+def slow_done(self, text):
+    if json.loads(text).get("event") == "done":
+        time.sleep(0.5)
+    write_chunk(self, text)
+
+ServiceRequestHandler._write_chunk = slow_done
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestDaemonProcess:
-    def _spawn(self, tmp_path, *extra):
+    def _spawn(self, tmp_path, *extra, wrapper=None):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(root, "src")
+        launcher = ["-m", "repro"] if wrapper is None else ["-c", wrapper]
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--cache",
+            [sys.executable, *launcher, "serve", "--cache",
              str(tmp_path / "cache"), "--port", "0", *extra],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=env, cwd=root)
@@ -552,6 +573,24 @@ class TestDaemonProcess:
             assert kinds[-1] == "done"
             assert sum(kind == "record" for kind in kinds) == len(
                 Study.from_dict(SPEC).compile())
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.stdout.close()
+            process.stderr.close()
+
+    def test_sigterm_waits_for_streams_still_writing(self, tmp_path):
+        """The queue can drain before a stream has written its job's last
+        events; the daemon must wait for the stream, not exit under it."""
+        process, url = self._spawn(tmp_path, wrapper=SLOW_DONE_WRAPPER)
+        try:
+            handle = ServiceClient(url, timeout=30.0).submit(dict(SPEC))
+            events = handle.events()
+            assert next(events)["event"] == "queued"
+            process.send_signal(signal.SIGTERM)
+            kinds = [body["event"] for body in events]
+            assert kinds[-1] == "done"
             assert process.wait(timeout=30) == 0
         finally:
             if process.poll() is None:

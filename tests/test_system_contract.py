@@ -18,25 +18,41 @@ registering, with no new test code:
 * the sub-task seams agree with the evaluation path: enumerated tasks
   warm exactly the entries ``evaluate_network`` looks up, and layer
   names never change the numbers (the contract that lets same-shape
-  layers share one shape-keyed store entry).
+  layers share one shape-keyed store entry);
+* reference candidates never read the clock or the scaling scenario, so
+  configurations that differ only in those share their action counts
+  within one run, with records identical to running each job alone;
+  configurations that differ in any other field (even one no node
+  carries) share nothing, and no counts outlive the run.
 """
 
+import copy
 import dataclasses
 import math
 
 import pytest
 
+from repro.api import Study
+from repro.energy import AGGRESSIVE, CONSERVATIVE
 from repro.engine import EvaluationCache, make_job, run_job, run_jobs
 from repro.engine.cache import SystemStore
 from repro.engine.codec import (
     layer_evaluation_to_dict,
     network_evaluation_to_dict,
 )
+from repro.mapping.analysis import NestAnalyzer
 from repro.mapping.mapping import Mapping
 from repro.model.results import NetworkEvaluation
-from repro.systems.base import PhotonicSystem, SubTask
+from repro.systems.base import PhotonicSystem, SubTask, layer_shape_key
 from repro.systems.registry import system_entries
-from repro.workloads import ConvLayer, dense_layer, tiny_cnn
+from repro.workloads import (
+    ConvLayer,
+    Network,
+    alexnet,
+    dense_layer,
+    resnet18,
+    tiny_cnn,
+)
 
 ENTRIES = system_entries()
 
@@ -286,3 +302,227 @@ class TestSubTaskSeams:
                                                  layer=layer_a)) \
             == system.sub_task_store_key(SubTask(kind="layer",
                                                  layer=layer_b))
+
+
+# ---------------------------------------------------------------------------
+# Count once per geometry, price per configuration
+# ---------------------------------------------------------------------------
+
+#: Every DRAM-flag pair, fused blocks first: pricing them must leave the
+#: shared counts intact for the unfused block that comes last.
+DRAM_FLAGS = ((False, False), (True, False), (False, True), (True, True))
+
+
+def _with_buffer(config, kib):
+    """``config`` with ``global_buffer_kib=kib``, where it has the field."""
+    if "global_buffer_kib" not in {f.name for f in dataclasses.fields(config)}:
+        return config
+    return dataclasses.replace(config, global_buffer_kib=kib)
+
+
+def _second_clock(config):
+    return dataclasses.replace(config, clock_ghz=config.clock_ghz * 0.8)
+
+
+def _second_scenario(config):
+    """``config`` under the other scaling scenario (None without one)."""
+    if not hasattr(config, "scenario"):
+        return None
+    other = AGGRESSIVE if config.scenario != AGGRESSIVE else CONSERVATIVE
+    return dataclasses.replace(config, scenario=other)
+
+
+def _energy_variants(config):
+    """``config`` at two clocks and, where it has one, two scenarios."""
+    variants = [config, _second_clock(config)]
+    if _second_scenario(config) is not None:
+        variants += [_second_scenario(variant) for variant in variants]
+    return variants
+
+
+def _node_preserving_variants(entry):
+    """The default config with one numeric field other than ``clock_ghz``
+    changed, for each such field whose change leaves the architecture's
+    nodes equal (a crossbar's ``hold_cycles``, say).  The candidates may
+    read these fields, so configs that differ in them share no counts.
+    """
+    config = entry.config_type()
+    nodes = entry.build_architecture(config).nodes
+    variants = []
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.name == "clock_ghz" or type(value) not in (int, float):
+            continue
+        changed = max(1, value // 64) if type(value) is int else value * 2
+        variant = dataclasses.replace(config, **{field.name: changed})
+        if variant != config \
+                and entry.build_architecture(variant).nodes == nodes:
+            variants.append(variant)
+    return variants
+
+
+def _count_analyses(monkeypatch, run):
+    """Call ``run()`` and return how many nest analyses it ran."""
+    calls = [0]
+    analyze = NestAnalyzer.analyze
+
+    def counting(self):
+        calls[0] += 1
+        return analyze(self)
+
+    monkeypatch.setattr(NestAnalyzer, "analyze", counting)
+    try:
+        run()
+    finally:
+        monkeypatch.setattr(NestAnalyzer, "analyze", analyze)
+    return calls[0]
+
+
+class TestGeometrySharing:
+    """The :meth:`PhotonicSystem.mapping_candidates` contract and the
+    run-scoped counts memo that relies on it."""
+
+    def test_energy_variants_share_geometry_and_candidates(self, entry):
+        systems = [entry.system_type(config)
+                   for config in _energy_variants(entry.config_type())]
+        nodes = systems[0].architecture.nodes
+        assert all(system.architecture.nodes == nodes for system in systems)
+        for layer in LAYERS:
+            targets = {layer_shape_key(system.analysis_layer(layer))
+                       for system in systems}
+            assert len(targets) == 1, layer.name
+            keys = {tuple(mapping.canonical_key() for mapping in
+                          system.mapping_candidates(
+                              system.analysis_layer(layer)))
+                    for system in systems}
+            assert len(keys) == 1, layer.name
+
+    def test_one_run_matches_each_job_alone(self, entry):
+        networks = (tiny_cnn(), Network.from_layers("contract", LAYERS))
+        jobs = [make_job(network, config, fused=fused,
+                         include_dram=include_dram)
+                for config in _energy_variants(entry.config_type())
+                for network in networks
+                for fused in (False, True)
+                for include_dram in (True, False)]
+        shared = run_jobs(jobs, cache=EvaluationCache())
+        for job, evaluation in zip(jobs, shared):
+            [alone] = run_jobs([job], cache=EvaluationCache())
+            assert network_evaluation_to_dict(evaluation) \
+                == network_evaluation_to_dict(alone), job.describe()
+
+    def test_node_preserving_variants_keep_their_own_counts(self, entry):
+        """Equal nodes are not enough to share: a field the nodes do not
+        carry may still choose the candidates."""
+        configs = [entry.config_type()] + _node_preserving_variants(entry)
+        jobs = [make_job(network, config, fused=fused)
+                for config in configs
+                for network in (tiny_cnn(), resnet18())
+                for fused in (False, True)]
+        shared = run_jobs(jobs, cache=EvaluationCache())
+        for job, evaluation in zip(jobs, shared):
+            [alone] = run_jobs([job], cache=EvaluationCache())
+            assert network_evaluation_to_dict(evaluation) \
+                == network_evaluation_to_dict(alone), job.describe()
+
+    @pytest.mark.parametrize("system", ["crossbar", "wdm_delay"])
+    def test_hold_cycles_grid_matches_each_config_alone(self, system):
+        """``hold_cycles`` is in no node, but it bounds the weight-bank
+        budget the reference candidates are built from."""
+        def records(hold_cycles):
+            return Study.from_dict({
+                "systems": [system], "networks": ["resnet18"],
+                "grid": {"hold_cycles": hold_cycles},
+            }).run(cache=EvaluationCache()).to_records()
+
+        together = records([4096, 64])
+        assert together == records([4096]) + records([64])
+        assert together[0]["energy_pj"] != together[1]["energy_pj"]
+
+    def test_energy_only_studies_analyze_no_more(self, entry, monkeypatch):
+        """Clock and scenario change only prices, and fused blocks price
+        an elided copy of the unfused counts: none of them analyzes."""
+        # At 8 MiB ResNet18 and AlexNet fit the fusion capacity check on
+        # every built-in system, so the fused arm runs.
+        base = _with_buffer(entry.config_type(), 8192)
+        networks = (resnet18(), alexnet())
+
+        def analyses(configs, fused=(False,)):
+            jobs = [make_job(network, config, fused=arm)
+                    for config in configs for network in networks
+                    for arm in fused]
+            return _count_analyses(
+                monkeypatch,
+                lambda: run_jobs(jobs, cache=EvaluationCache()))
+
+        one_clock = analyses([base])
+        assert one_clock > 0
+        assert analyses([base, _second_clock(base)]) == one_clock
+        if _second_scenario(base) is not None:
+            assert analyses([base, _second_scenario(base)]) == one_clock
+        assert analyses([base], fused=(False, True)) == one_clock
+
+    def test_dram_elision_leaves_its_input_unchanged(self, entry):
+        system = entry.system_type()
+        for layer in LAYERS:
+            target = system.analysis_layer(layer)
+            counts = system.model.counts(target,
+                                         system.reference_mapping(layer))
+            before = copy.deepcopy(counts)
+            for flags in DRAM_FLAGS[:3]:
+                elided = system.model._apply_dram_elision(counts, target,
+                                                          *flags)
+                assert elided is not counts
+                assert elided != before
+            assert counts == before, layer.name
+
+    def test_shared_counts_price_like_fresh_evaluations(self, entry):
+        memo = {}
+        for config in _energy_variants(entry.config_type()):
+            system = entry.system_type(config, store=SystemStore(
+                EvaluationCache(), "contract", memo))
+            for layer in LAYERS:
+                for input_dram, output_dram in DRAM_FLAGS:
+                    shared = system.evaluate_layer(
+                        layer, input_from_dram=input_dram,
+                        output_to_dram=output_dram)
+                    fresh = entry.system_type(config).evaluate_layer(
+                        layer, input_from_dram=input_dram,
+                        output_to_dram=output_dram)
+                    assert layer_evaluation_to_dict(shared) \
+                        == layer_evaluation_to_dict(fresh)
+        assert len(memo) == 1  # one geometry
+
+
+class TestCountsLifetime:
+    """Shared counts live for one run: never on the cache, never in the
+    process.  A daemon's long-lived cache must stay bounded, and a
+    benchmark's fresh studies must start equally cold."""
+
+    @staticmethod
+    def _study(clocks):
+        return Study.from_dict({
+            "name": "lifetime",
+            "systems": sorted(ENTRIES),
+            "networks": ["resnet18", "alexnet"],
+            "grid": {"clock_ghz": list(clocks)},
+        })
+
+    def test_runs_on_one_long_lived_cache(self, monkeypatch):
+        cache = EvaluationCache()
+        first = _count_analyses(
+            monkeypatch, lambda: self._study((4.0, 4.5)).run(cache=cache))
+        second = _count_analyses(
+            monkeypatch, lambda: self._study((5.0, 5.5)).run(cache=cache))
+        assert first > 0
+        assert second == first
+
+    def test_runs_on_fresh_caches(self, monkeypatch):
+        first = _count_analyses(
+            monkeypatch,
+            lambda: self._study((4.0, 4.5)).run(cache=EvaluationCache()))
+        second = _count_analyses(
+            monkeypatch,
+            lambda: self._study((5.0, 5.5)).run(cache=EvaluationCache()))
+        assert first > 0
+        assert second == first
