@@ -55,9 +55,11 @@ hoisted into a shared :class:`SearchContext`:
   constantly.  Neither reads the architecture, so they are process-wide:
   one fill-event table, and one tile-size table per stride pair, serve
   every configuration;
-* a **validate-once protocol**: :class:`Mapper` validates each candidate
-  exactly once and constructs the analyzer with ``validate=False``, removing
-  the duplicate :meth:`Mapping.validate` the constructor used to run;
+* a **check-once protocol**: :class:`Mapper` checks each candidate exactly
+  once — a seeded ``Mapping`` with :meth:`Mapping.validate`, a generated
+  candidate row with the same rules — and the analyzers, built with
+  ``validate=False``, read rows through the accessors they use on a
+  ``Mapping``, so only the search's winner is ever materialized;
 * a cheap **early capacity check** (:meth:`SearchContext.
   capacity_violation`) that bounds per-level occupancy before full analysis
   and pricing.
@@ -449,8 +451,8 @@ class SearchContext:
                 for dim, factor in factors_by_fanout[record.name].items():
                     bounds[dim_index[dim]] *= factor
                 continue
-            for loop in loops_by_storage[record.name]:
-                bounds[dim_index[loop.dim]] *= loop.bound
+            for dim, bound in loops_by_storage[record.name]:
+                bounds[dim_index[dim]] *= bound
             if record.capacity_bits is None:
                 continue
             bounds_key = tuple(bounds)
@@ -466,7 +468,7 @@ class NestAnalyzer:
     """Computes :class:`AccessCounts` for one (architecture, layer, mapping).
 
     The constructor validates the mapping (unless ``validate=False`` — the
-    mapper's validate-once protocol, for candidates it has already checked)
+    mapper's check-once protocol, for candidates it has already checked)
     and binds a :class:`SearchContext`; :meth:`analyze` runs the
     inner-to-outer traffic walk.  ``check_capacity`` controls whether
     occupancy violations raise :class:`CapacityError` (mappers search with
@@ -534,8 +536,7 @@ class NestAnalyzer:
         for name in context.storage_order:
             signatures[name] = accumulated[::-1]
             accumulated = accumulated + tuple(
-                (loop.dim, loop.bound)
-                for loop in loops_by_storage[name] if loop.bound > 1)
+                loop for loop in loops_by_storage[name] if loop[1] > 1)
 
         storage_counts: Dict[str, StorageCounts] = {
             name: StorageCounts() for name in context.storage_order
@@ -579,8 +580,8 @@ class NestAnalyzer:
 
             # Storage level: its own loops are inside its tile.
             name = record.name
-            for loop in loops_by_storage[name]:
-                bounds[dim_index[loop.dim]] *= loop.bound
+            for dim, bound in loops_by_storage[name]:
+                bounds[dim_index[dim]] *= bound
             bounds_key = tuple(bounds)
             level_instances = total_spatial // spatial_inside
             instances[name] = level_instances
@@ -977,8 +978,7 @@ class BatchNestAnalyzer:
             for name in context.storage_order:
                 row[name] = accumulated[::-1]
                 accumulated = accumulated + tuple(
-                    (loop.dim, loop.bound)
-                    for loop in loops[i][name] if loop.bound > 1)
+                    loop for loop in loops[i][name] if loop[1] > 1)
             signatures.append(row)
 
         # float64 copy of each candidate's padded MACs, converted once —
@@ -1032,8 +1032,8 @@ class BatchNestAnalyzer:
             name = record.name
             for i in range(n):
                 row_bounds = bounds[i]
-                for loop in loops[i][name]:
-                    row_bounds[dim_index[loop.dim]] *= loop.bound
+                for dim, bound in loops[i][name]:
+                    row_bounds[dim_index[dim]] *= bound
             bounds_keys = [tuple(bounds[i]) for i in range(n)]
             insts = [spatial[i] // spatial_inside[i] for i in range(n)]
             batch.instances.append((name, insts))

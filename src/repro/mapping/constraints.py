@@ -10,11 +10,12 @@ system builder produces one per (architecture, layer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping as TMapping, Optional, Tuple
+from typing import FrozenSet, Mapping as TMapping, Optional
 
 from repro.exceptions import MappingError
-from repro.mapping.mapping import Mapping
+from repro.mapping.mapping import Failure, Mapping
 from repro.workloads.dims import Dim
 
 
@@ -45,21 +46,6 @@ class StorageConstraint:
     #: Cap on the product of this level's temporal loop bounds (e.g. an
     #: analog integrator's accumulation budget).
     max_temporal_product: Optional[int] = None
-    #: Fraction of the hardware capacity mappings may occupy (headroom for
-    #: control state / double buffering).
-    capacity_fraction: float = 1.0
-    #: Bits already committed at this level (e.g. resident inter-layer
-    #: activations under fusion); subtracted from usable capacity.
-    reserved_bits: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.capacity_fraction <= 1.0:
-            raise MappingError(
-                f"capacity_fraction must be in (0, 1], got "
-                f"{self.capacity_fraction}"
-            )
-        if self.reserved_bits < 0:
-            raise MappingError("reserved_bits must be >= 0")
 
 
 #: Shared "no restriction" defaults for names without an entry (frozen, so
@@ -98,33 +84,43 @@ class MappingConstraints:
         Structural validity against the architecture is checked separately
         by :meth:`repro.mapping.mapping.Mapping.validate`.
         """
-        for spatial in mapping.spatials:
-            constraint = self.fanout(spatial.fanout)
+        failure = self.spatial_failure(mapping) or self.temporal_failure(
+            mapping)
+        if failure is not None:
+            raise MappingError(failure())
+
+    def spatial_failure(self, row) -> Failure:
+        """The first broken fanout constraint of ``row`` (a
+        :class:`Mapping` or a mapper's spatial group), or None."""
+        for name, factors in row.factors_by_fanout().items():
+            constraint = self.fanout(name)
+            product = math.prod(factors.values())
             if (constraint.max_instances is not None
-                    and spatial.factor_product > constraint.max_instances):
-                raise MappingError(
-                    f"fanout {spatial.fanout!r}: mapped "
-                    f"{spatial.factor_product} instances, constraint allows "
-                    f"{constraint.max_instances}"
-                )
-            for dim, factor in spatial.factors.items():
+                    and product > constraint.max_instances):
+                return lambda: (f"fanout {name!r}: mapped {product} "
+                                f"instances, constraint allows "
+                                f"{constraint.max_instances}")
+            for dim, factor in factors.items():
                 if dim in constraint.forbidden_dims:
-                    raise MappingError(
-                        f"fanout {spatial.fanout!r}: dimension {dim.value} "
-                        f"is forbidden by constraints"
-                    )
+                    return lambda: (f"fanout {name!r}: dimension "
+                                    f"{dim.value} is forbidden by "
+                                    f"constraints")
                 cap = constraint.max_factor.get(dim)
                 if cap is not None and factor > cap:
-                    raise MappingError(
-                        f"fanout {spatial.fanout!r}: factor {factor} on "
-                        f"{dim.value} exceeds constraint cap {cap}"
-                    )
-        for level in mapping.levels:
-            constraint = self.storage(level.storage)
-            if (constraint.max_temporal_product is not None
-                    and level.factor_product > constraint.max_temporal_product):
-                raise MappingError(
-                    f"storage {level.storage!r}: temporal product "
-                    f"{level.factor_product} exceeds constraint cap "
-                    f"{constraint.max_temporal_product}"
-                )
+                    return lambda: (f"fanout {name!r}: factor {factor} on "
+                                    f"{dim.value} exceeds constraint cap "
+                                    f"{cap}")
+        return None
+
+    def temporal_failure(self, row) -> Failure:
+        """The first broken storage constraint of ``row`` (a
+        :class:`Mapping` or a mapper's candidate row), or None."""
+        for name, loops in row.loops_by_storage().items():
+            cap = self.storage(name).max_temporal_product
+            if cap is None:
+                continue
+            product = math.prod(bound for _, bound in loops)
+            if product > cap:
+                return lambda: (f"storage {name!r}: temporal product "
+                                f"{product} exceeds constraint cap {cap}")
+        return None

@@ -29,22 +29,30 @@ counted.
 Hot-path structure
 ------------------
 
-Candidate generation is *spec-based*: the generators produce lightweight
-(spatial assignment, per-level factor dicts, permutation template) tuples,
-deduplicated by canonical mapping key, and only the sampled winners are
-materialized into :class:`Mapping` objects — constructing tens of
-thousands of ``TemporalLoop`` dataclasses for candidates that sampling
-throws away used to dominate search time.  Evaluation shares one
+Candidates are *rows*, not :class:`Mapping` objects: the generators
+produce (spatial group, per-level factor dicts, permutation template)
+specs, and each composed candidate becomes a :class:`CandidateRow` holding
+its per-level ``(dim, bound)`` loops (the tuples its dedup key is made
+of), its group's spatial factors and its padded, temporal and spatial
+products.  Rows are deduplicated by canonical mapping key and sampled,
+then checked against every rule of :meth:`Mapping.validate` and
+:meth:`MappingConstraints.check` — the rules that read only the spatial
+group run once per group — early-rejected by the capacity bound, and
+priced in one batched analyzer pass.  The capacity check, the analyzer and
+the pricing read a row through the accessors they use on a ``Mapping``,
+and only the winner is materialized: building tens of thousands of
+``TemporalLoop`` dataclasses for candidates the search throws away used
+to dominate search time.  Evaluation shares one
 :class:`~repro.mapping.analysis.SearchContext` across every candidate
-(validate-once, memoized geometry) and prunes capacity-doomed candidates
-before pricing; the ``deduplicated`` / ``pruned_early`` counters on
-:class:`MapperResult` surface both effects.
+(memoized geometry); the ``deduplicated`` / ``pruned_early`` counters on
+:class:`MapperResult` surface dedup and early rejection.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,15 +61,18 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.arch.hierarchy import Architecture, SpatialFanout, StorageLevel
 from repro.exceptions import CapacityError, MappingError
-from repro.mapping.analysis import SearchContext
+from repro.mapping.analysis import _DIM_INDEX, SearchContext
 from repro.mapping.constraints import MappingConstraints
 from repro.mapping.factorization import ceil_div, tile_candidates
 from repro.mapping.mapping import (
+    Failure,
     FanoutMapping,
     LevelMapping,
     Mapping,
     TemporalLoop,
     problem_dims,
+    spatial_failure,
+    temporal_failure,
 )
 from repro.workloads.dataspace import ALL_DATASPACES, relevant_dims
 from repro.workloads.dims import ALL_DIMS, Dim
@@ -74,13 +85,6 @@ from repro.workloads.layer import ConvLayer
 #: :class:`SearchContext`; they promise to price with capacity checking
 #: on, which also lets the mapper early-reject over-capacity candidates.
 CostFn = Callable[[Mapping], float]
-
-#: Candidate spec: (spatial FanoutMappings, per-level (storage, factors)
-#: pairs, permutation template).  Materialized into a Mapping only after
-#: dedup + sampling.
-_CandidateSpec = Tuple[List[FanoutMapping],
-                       Tuple[Tuple[str, Dict[Dim, int]], ...],
-                       Tuple[Dim, ...]]
 
 
 @dataclass
@@ -158,94 +162,94 @@ class Mapper:
             seeded = list(extra_candidates)
             seen = {mapping.canonical_key() for mapping in seeded}
             budget = max(0, max_evaluations - len(seeded))
-            specs, deduplicated = self._generate_specs(layer, rng, seen,
-                                                       budget)
-            candidates = seeded + [_materialize(spec) for spec in specs]
+            rows, deduplicated = self._generate_specs(layer, rng, seen,
+                                                      budget)
+            evaluated = len(seeded) + len(rows)
 
             context = SearchContext.for_layer(self.architecture, layer)
-            # The validate-once protocol only extends to cost functions
-            # that opt in: they receive the shared context, evaluate
-            # without re-validating, and check capacity — which also
+            # Only cost functions that opt in receive the shared context;
+            # they promise to price with capacity checking on, which
             # licenses the cheap occupancy pre-filter below.
             supports_context = bool(getattr(self.cost_fn,
                                             "supports_context", False))
-
-            best_mapping: Optional[Mapping] = None
-            best_cost = float("inf")
-            best_key = (float("inf"), float("inf"))
-            evaluated = 0
-            valid = 0
+            survivors: List = []
             pruned_early = 0
-            batch_fn = (getattr(self.cost_fn, "batch", None)
-                        if supports_context else None)
-            if batch_fn is not None:
-                # Vectorized block path: validate / constrain / pre-filter
-                # each candidate exactly as the scalar loop would, then
-                # price the survivors in one batched analyzer pass.
-                # Candidates the batch flags (the ones scalar pricing
-                # would reject) come back as None.  Winner selection is
-                # the same first-minimal scan in candidate order, so the
-                # result — mapping, cost, and every counter — is
-                # bit-identical to the scalar path.
-                survivors: List[Mapping] = []
-                for mapping in candidates:
-                    evaluated += 1
-                    try:
-                        mapping.validate(self.architecture, layer)
-                        self.constraints.check(mapping)
-                    except (MappingError, CapacityError):
-                        continue
-                    if context.capacity_violation(mapping) is not None:
-                        pruned_early += 1
-                        continue
-                    survivors.append(mapping)
-                for mapping, cost in zip(survivors,
-                                         batch_fn(survivors, context)):
-                    if cost is None:
-                        continue
-                    valid += 1
-                    key = (cost, mapping.total_temporal_product)
-                    if key < best_key:
-                        best_key = key
-                        best_cost = cost
-                        best_mapping = mapping
-                candidates = ()
-            for mapping in candidates:
-                evaluated += 1
+            for mapping in seeded:
                 try:
                     mapping.validate(self.architecture, layer)
                     self.constraints.check(mapping)
-                    if supports_context:
-                        if context.capacity_violation(mapping) is not None:
-                            pruned_early += 1
-                            continue
-                        cost = self.cost_fn(mapping, context=context)
-                    else:
-                        cost = self.cost_fn(mapping)
-                except (MappingError, CapacityError):
+                except MappingError:
+                    continue
+                survivors.append(mapping)
+            required = tuple(problem_dims(layer).values())
+            survivors.extend(row for row in rows
+                             if self._row_failure(row, required) is None)
+            if supports_context:
+                kept = [candidate for candidate in survivors
+                        if context.capacity_violation(candidate) is None]
+                pruned_early = len(survivors) - len(kept)
+                survivors = kept
+
+            # The block path prices every survivor in one batched analyzer
+            # pass; candidates scalar pricing would reject come back as
+            # None.  Other cost functions price a materialized Mapping.
+            batch_fn = (getattr(self.cost_fn, "batch", None)
+                        if supports_context else None)
+            if batch_fn is not None:
+                costs = batch_fn(survivors, context)
+            else:
+                survivors = [_materialize(row) for row in survivors]
+                costs = [self._scalar_cost(mapping, context, supports_context)
+                         for mapping in survivors]
+            best = None
+            best_cost = float("inf")
+            best_key = (float("inf"), float("inf"))
+            valid = 0
+            for candidate, cost in zip(survivors, costs):
+                if cost is None:
                     continue
                 valid += 1
                 # Tie-break equal-cost mappings by latency (fewer temporal
                 # steps = more spatial parallelism).
-                key = (cost, mapping.total_temporal_product)
+                key = (cost, candidate.total_temporal_product)
                 if key < best_key:
                     best_key = key
                     best_cost = cost
-                    best_mapping = mapping
+                    best = candidate
             search_span.set("evaluated", evaluated)
             search_span.set("valid", valid)
             search_span.set("deduplicated", deduplicated)
             search_span.set("pruned_early", pruned_early)
-            if best_mapping is None:
+            if best is None:
                 raise MappingError(
                     f"mapper found no valid mapping for layer "
                     f"{layer.name!r} after {evaluated} candidates; check "
                     f"constraints and buffer capacities"
                 )
-        return MapperResult(mapping=best_mapping, cost=best_cost,
+        return MapperResult(mapping=_materialize(best), cost=best_cost,
                             evaluated=evaluated, valid=valid,
                             deduplicated=deduplicated,
                             pruned_early=pruned_early)
+
+    def _row_failure(self, row: "CandidateRow",
+                     required: Tuple[int, ...]) -> Failure:
+        """The first rule of :meth:`Mapping.validate` or
+        :meth:`MappingConstraints.check` that ``row`` breaks, or None.
+
+        The spatial-only rules ran once for the row's group."""
+        return (row.group.failure
+                or temporal_failure(row, self.architecture, required)
+                or self.constraints.temporal_failure(row))
+
+    def _scalar_cost(self, mapping: Mapping, context: SearchContext,
+                     supports_context: bool) -> Optional[float]:
+        """``cost_fn`` on one checked candidate; None if it rejects it."""
+        try:
+            if supports_context:
+                return self.cost_fn(mapping, context=context)
+            return self.cost_fn(mapping)
+        except (MappingError, CapacityError):
+            return None
 
     # ------------------------------------------------------------------
     # Candidate generation
@@ -256,8 +260,8 @@ class Mapper:
         rng: random.Random,
         seen: set,
         budget: int,
-    ) -> Tuple[List[_CandidateSpec], int]:
-        """Up to ``budget`` deduplicated candidate specs (+ duplicate count).
+    ) -> Tuple[List["CandidateRow"], int]:
+        """Up to ``budget`` deduplicated candidate rows (+ duplicate count).
 
         Enumerates only the candidate *structure* — spatial assignments,
         holder-loop combos, buffer tilings — then composes per-level factor
@@ -271,83 +275,61 @@ class Mapper:
           rejected and redrawn, so composition work scales with the
           evaluation budget instead of the pool size.
 
-        Either way the returned specs contain no duplicate schedules and
+        Either way the returned rows contain no duplicate schedules and
         none that match a key already in ``seen`` (which is extended in
         place).
         """
         if budget <= 0:
             return [], 0
         dims = problem_dims(layer)
-        groups: List[Tuple[List[FanoutMapping], _TemporalStructure]] = []
+        groups: List[_SpatialGroup] = []
         group_starts: List[int] = []
         total = 0
         for spatials, remaining in self._spatial_candidates(dims, rng):
             structure = self._temporal_structure(layer, remaining, rng)
             if structure.count == 0:
                 continue
-            groups.append((spatials, structure))
+            group = _SpatialGroup(spatials, structure)
+            group.failure = (spatial_failure(group, self.architecture)
+                             or self.constraints.spatial_failure(group))
+            groups.append(group)
             group_starts.append(total)
             total += structure.count
 
-        specs: List[_CandidateSpec] = []
+        rows: List[CandidateRow] = []
         duplicates = 0
         if total <= 2 * budget:
             # Small pool: compose everything, dedup, sample the overflow.
-            for spatials, structure in groups:
-                spatial_key = _spatial_key(spatials)
-                for index in range(structure.count):
-                    spec, key = self._compose(spatials, spatial_key,
-                                              structure, index)
+            for group in groups:
+                for index in range(group.structure.count):
+                    row, key = _compose(group, index)
                     if key in seen:
                         duplicates += 1
                         continue
                     seen.add(key)
-                    specs.append(spec)
-            if len(specs) > budget:
-                specs = rng.sample(specs, budget)
-            return specs, duplicates
+                    rows.append(row)
+            if len(rows) > budget:
+                rows = rng.sample(rows, budget)
+            return rows, duplicates
 
         # Large pool: draw indices, compose only the winners.  Duplicate
         # schedules are rejected and redrawn (budget <= total/2, so the
         # rejection loop terminates quickly).
-        spatial_keys: Dict[int, Tuple] = {}
         drawn = set()
-        while len(specs) < budget and len(drawn) < total:
+        while len(rows) < budget and len(drawn) < total:
             index = rng.randrange(total)
             if index in drawn:
                 continue
             drawn.add(index)
             group_index = bisect.bisect_right(group_starts, index) - 1
-            spatials, structure = groups[group_index]
-            spatial_key = spatial_keys.get(group_index)
-            if spatial_key is None:
-                spatial_key = _spatial_key(spatials)
-                spatial_keys[group_index] = spatial_key
-            spec, key = self._compose(spatials, spatial_key, structure,
-                                      index - group_starts[group_index])
+            row, key = _compose(groups[group_index],
+                                index - group_starts[group_index])
             if key in seen:
                 duplicates += 1
                 continue
             seen.add(key)
-            specs.append(spec)
-        return specs, duplicates
-
-    def _compose(
-        self,
-        spatials: List[FanoutMapping],
-        spatial_key: Tuple,
-        structure: "_TemporalStructure",
-        index: int,
-    ) -> Tuple[_CandidateSpec, Tuple]:
-        """Compose candidate ``index`` of one (spatial, temporal) group."""
-        level_factors, template = structure.compose(index)
-        levels_key = tuple(
-            (name, tuple((dim, factors[dim]) for dim in template
-                         if factors.get(dim, 1) > 1))
-            for name, factors in level_factors
-        )
-        return ((spatials, level_factors, template),
-                (levels_key, spatial_key))
+            rows.append(row)
+        return rows, duplicates
 
     def _spatial_candidates(
         self, dims: Dict[Dim, int], rng: random.Random
@@ -695,26 +677,107 @@ class _TemporalStructure:
         return tuple(level_factors), _TEMPLATE_LIST[template_index]
 
 
-def _spatial_key(spatials: Sequence[FanoutMapping]) -> Tuple:
-    """The spatial half of a candidate's canonical key."""
-    return tuple(
-        (spatial.fanout,
-         tuple(sorted((dim.value, factor)
-                      for dim, factor in spatial.factors.items())))
-        for spatial in spatials
+class _SpatialGroup:
+    """One spatial assignment and its temporal candidates; answers the
+    accessors the spatial-only rules read, so they run once per group."""
+
+    __slots__ = ("spatials", "structure", "factors", "key", "padded",
+                 "product", "storage_names", "fanout_names", "failure")
+
+    def __init__(self, spatials: List[FanoutMapping],
+                 structure: "_TemporalStructure") -> None:
+        self.spatials = tuple(spatials)
+        self.structure = structure
+        self.factors = {spatial.fanout: spatial.factors
+                        for spatial in spatials}
+        #: The spatial half of a candidate's canonical key.
+        self.key = tuple(
+            (spatial.fanout,
+             tuple(sorted((dim.value, factor)
+                          for dim, factor in spatial.factors.items())))
+            for spatial in spatials
+        )
+        padded = [1] * len(ALL_DIMS)
+        for spatial in spatials:
+            for dim, factor in spatial.factors.items():
+                padded[_DIM_INDEX[dim]] *= factor
+        self.padded = padded
+        self.product = math.prod(padded)
+        self.storage_names = structure.storage_names
+        self.fanout_names = tuple(spatial.fanout for spatial in spatials)
+        self.failure: Failure = None
+
+    def factors_by_fanout(self) -> Dict[str, Dict[Dim, int]]:
+        return self.factors
+
+
+class CandidateRow:
+    """A generated candidate, checked and priced without a :class:`Mapping`.
+
+    Holds the per-level ``(dim, bound)`` loops in template order (the
+    levels half of its canonical key), its spatial group, and the padded,
+    temporal and spatial products, behind the accessors the per-row rules,
+    the capacity pre-filter and the batched analyzer use on a ``Mapping``.
+    """
+
+    __slots__ = ("levels", "level_factors", "template", "group", "_loops",
+                 "_padded", "total_temporal_product", "total_spatial_product")
+
+    def __init__(self, levels, level_factors, template,
+                 group: _SpatialGroup) -> None:
+        self.levels = levels
+        self.level_factors = level_factors
+        self.template = template
+        self.group = group
+        self._loops = dict(levels)
+        padded = group.padded[:]
+        temporal = 1
+        for _, loops in levels:
+            for dim, bound in loops:
+                padded[_DIM_INDEX[dim]] *= bound
+                temporal *= bound
+        self._padded = tuple(padded)
+        self.total_temporal_product = temporal
+        self.total_spatial_product = group.product
+
+    def loops_by_storage(self) -> Dict[str, Tuple[Tuple[Dim, int], ...]]:
+        return self._loops
+
+    def factors_by_fanout(self) -> Dict[str, Dict[Dim, int]]:
+        return self.group.factors
+
+    def padded_totals(self) -> Tuple[int, ...]:
+        return self._padded
+
+    def padded_macs(self) -> int:
+        return self.total_temporal_product * self.total_spatial_product
+
+
+def _compose(group: _SpatialGroup,
+             index: int) -> Tuple[CandidateRow, Tuple]:
+    """Candidate ``index`` of one spatial group, and its canonical key."""
+    level_factors, template = group.structure.compose(index)
+    levels = tuple(
+        (name, tuple((dim, factors[dim]) for dim in template
+                     if factors.get(dim, 1) > 1))
+        for name, factors in level_factors
     )
+    return (CandidateRow(levels, level_factors, template, group),
+            (levels, group.key))
 
 
-def _materialize(spec: _CandidateSpec) -> Mapping:
-    """Build the actual :class:`Mapping` for a surviving candidate spec."""
-    spatials, level_factors, template = spec
+def _materialize(candidate) -> Mapping:
+    """The :class:`Mapping` a candidate row stands for (a seeded Mapping is
+    returned as is)."""
+    if isinstance(candidate, Mapping):
+        return candidate
     return Mapping(
         levels=tuple(
-            LevelMapping(storage=name, loops=_ordered_loops(factors,
-                                                            template))
-            for name, factors in level_factors
+            LevelMapping(storage=name,
+                         loops=_ordered_loops(factors, candidate.template))
+            for name, factors in candidate.level_factors
         ),
-        spatials=tuple(spatials),
+        spatials=candidate.group.spatials,
     )
 
 

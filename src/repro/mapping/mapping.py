@@ -17,14 +17,19 @@ Validation is strict and early: a mapping that refers to unknown levels,
 violates a fanout's allowed dimensions or size, or under-covers the layer
 raises :class:`~repro.exceptions.MappingError` with a precise message, so
 mapper bugs surface at construction rather than as silently wrong energy.
+The rules (:func:`spatial_failure`, :func:`temporal_failure`) read only
+accessors a mapper's candidate rows share with :class:`Mapping`, so the
+mapper checks a candidate without building it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Tuple
+from typing import (Callable, Dict, List, Mapping as TMapping, Optional,
+                    Tuple)
 
-from repro.arch.hierarchy import Architecture, SpatialFanout, StorageLevel
+from repro.arch.hierarchy import Architecture
 from repro.exceptions import MappingError
 from repro.workloads.dims import ALL_DIMS, Dim
 from repro.workloads.layer import ConvLayer
@@ -124,15 +129,26 @@ class Mapping:
             state.pop(cache_attr, None)
         return state
 
-    def loops_by_storage(self) -> Dict[str, Tuple[TemporalLoop, ...]]:
-        """Storage name -> temporal loops, cached (mappings are immutable).
+    @property
+    def storage_names(self) -> Tuple[str, ...]:
+        return tuple(level.storage for level in self.levels)
+
+    @property
+    def fanout_names(self) -> Tuple[str, ...]:
+        return tuple(spatial.fanout for spatial in self.spatials)
+
+    def loops_by_storage(self) -> Dict[str, Tuple[Tuple[Dim, int], ...]]:
+        """Storage name -> (dim, bound) loops, outermost first; cached
+        (mappings are immutable).
 
         The analysis walk and the mapper's capacity pre-filter both index
         levels by name for every candidate; treat the result as read-only.
         """
         cached = getattr(self, "_loops_index_cache", None)
         if cached is None:
-            cached = {level.storage: level.loops for level in self.levels}
+            cached = {level.storage: tuple((loop.dim, loop.bound)
+                                           for loop in level.loops)
+                      for level in self.levels}
             object.__setattr__(self, "_loops_index_cache", cached)
         return cached
 
@@ -160,7 +176,7 @@ class Mapping:
                 return spatial
         raise MappingError(f"mapping has no spatial entry for {fanout!r}")
 
-    def _padded_totals(self) -> Tuple[int, ...]:
+    def padded_totals(self) -> Tuple[int, ...]:
         """Per-dimension padded totals in ``ALL_DIMS`` order, cached.
 
         Mappings are immutable, and the search hot path asks for these
@@ -182,7 +198,7 @@ class Mapping:
 
     def padded_dims(self) -> Dict[Dim, int]:
         """Per-dimension product of every temporal and spatial factor."""
-        return dict(zip(ALL_DIMS, self._padded_totals()))
+        return dict(zip(ALL_DIMS, self.padded_totals()))
 
     @property
     def total_temporal_product(self) -> int:
@@ -207,7 +223,7 @@ class Mapping:
 
     def padded_macs(self) -> int:
         product = 1
-        for total in self._padded_totals():
+        for total in self.padded_totals():
             product *= total
         return product
 
@@ -261,7 +277,7 @@ class Mapping:
     def utilization_vs(self, layer: ConvLayer) -> float:
         """Fraction of scheduled iterations that are real work (<= 1)."""
         padded = self.padded_macs()
-        real = _grouped_macs_reference(layer)
+        real = problem_macs(layer)
         return real / padded if padded else 0.0
 
     # ------------------------------------------------------------------
@@ -281,72 +297,17 @@ class Mapping:
         target — which search loops and repeated analyses do constantly —
         is a no-op after the first success.
         """
-        required = _grouped_dims_reference(layer)
-        memo_key = (architecture, tuple(required.values()))
+        required = tuple(problem_dims(layer).values())
+        memo_key = (architecture, required)
         cached = getattr(self, "_validated_cache", None)
         if cached is not None \
                 and cached[0] is memo_key[0] and cached[1] == memo_key[1]:
             return
-        storage_names = [s.name for s in architecture.storage_levels]
-        mapped_names = [level.storage for level in self.levels]
-        if mapped_names != storage_names:
-            raise MappingError(
-                f"mapping levels {mapped_names} do not match architecture "
-                f"storage levels {storage_names}"
-            )
-        fanout_names = [f.name for f in architecture.fanouts]
-        mapped_fanouts = [spatial.fanout for spatial in self.spatials]
-        if mapped_fanouts != fanout_names:
-            raise MappingError(
-                f"mapping spatials {mapped_fanouts} do not match architecture "
-                f"fanouts {fanout_names}"
-            )
-        for spatial, fanout in zip(self.spatials, architecture.fanouts):
-            self._validate_spatial(spatial, fanout)
-        for level_mapping in self.levels:
-            storage = architecture.node_named(level_mapping.storage)
-            assert isinstance(storage, StorageLevel)
-            self._validate_temporal(level_mapping, storage)
-        self._validate_coverage(layer)
+        failure = (spatial_failure(self, architecture)
+                   or temporal_failure(self, architecture, required))
+        if failure is not None:
+            raise MappingError(failure())
         object.__setattr__(self, "_validated_cache", memo_key)
-
-    @staticmethod
-    def _validate_spatial(spatial: FanoutMapping, fanout: SpatialFanout) -> None:
-        illegal = set(spatial.factors) - set(fanout.allowed_dims)
-        if illegal:
-            raise MappingError(
-                f"fanout {fanout.name!r}: dimensions "
-                f"{sorted(d.value for d in illegal)} may not map here "
-                f"(allowed: {sorted(d.value for d in fanout.allowed_dims)})"
-            )
-        if spatial.factor_product > fanout.size:
-            raise MappingError(
-                f"fanout {fanout.name!r}: mapped {spatial.factor_product} "
-                f"instances but hardware provides {fanout.size}"
-            )
-
-    @staticmethod
-    def _validate_temporal(level_mapping: LevelMapping,
-                           storage: StorageLevel) -> None:
-        if storage.allowed_temporal_dims is None:
-            return
-        for loop in level_mapping.loops:
-            if loop.bound > 1 and loop.dim not in storage.allowed_temporal_dims:
-                raise MappingError(
-                    f"storage {storage.name!r}: temporal iteration over "
-                    f"{loop.dim.value} not allowed (allowed: "
-                    f"{sorted(d.value for d in storage.allowed_temporal_dims)})"
-                )
-
-    def _validate_coverage(self, layer: ConvLayer) -> None:
-        padded = self.padded_dims()
-        required = _grouped_dims_reference(layer)
-        for dim, size in required.items():
-            if padded[dim] < size:
-                raise MappingError(
-                    f"mapping covers only {padded[dim]} of dimension "
-                    f"{dim.value} (layer needs {size})"
-                )
 
     # ------------------------------------------------------------------
     # Rendering
@@ -370,6 +331,65 @@ class Mapping:
                 )
                 lines.append("  " * indent + f"spatial[{name}] {rendered}")
         return "\n".join(lines)
+
+
+#: A broken rule: call it for the :class:`MappingError` message, which is
+#: formatted only when someone reads it.
+Failure = Optional[Callable[[], str]]
+
+
+def spatial_failure(row, architecture: Architecture) -> Failure:
+    """The first broken rule that reads no temporal loop: one level entry
+    per storage level and one spatial entry per fanout, in architecture
+    order; each fanout's factors on allowed dimensions and within its
+    size.  A mapper runs it once per spatial group."""
+    storage_names = [s.name for s in architecture.storage_levels]
+    mapped_names = list(row.storage_names)
+    if mapped_names != storage_names:
+        return lambda: (f"mapping levels {mapped_names} do not match "
+                        f"architecture storage levels {storage_names}")
+    fanout_names = [f.name for f in architecture.fanouts]
+    mapped_fanouts = list(row.fanout_names)
+    if mapped_fanouts != fanout_names:
+        return lambda: (f"mapping spatials {mapped_fanouts} do not match "
+                        f"architecture fanouts {fanout_names}")
+    factors_by_fanout = row.factors_by_fanout()
+    for fanout in architecture.fanouts:
+        factors = factors_by_fanout[fanout.name]
+        illegal = [dim for dim in factors if dim not in fanout.allowed_dims]
+        if illegal:
+            return lambda: (
+                f"fanout {fanout.name!r}: dimensions "
+                f"{sorted(d.value for d in illegal)} may not map here "
+                f"(allowed: {sorted(d.value for d in fanout.allowed_dims)})")
+        product = math.prod(factors.values())
+        if product > fanout.size:
+            return lambda: (f"fanout {fanout.name!r}: mapped {product} "
+                            f"instances but hardware provides {fanout.size}")
+    return None
+
+
+def temporal_failure(row, architecture: Architecture,
+                     required: Tuple[int, ...]) -> Failure:
+    """The first broken per-candidate rule, once :func:`spatial_failure`
+    passed: storage levels' temporal-dimension restrictions, then coverage
+    of ``required`` (the per-group loop bounds in ``ALL_DIMS`` order)."""
+    loops_by_storage = row.loops_by_storage()
+    for storage in architecture.storage_levels:
+        allowed = storage.allowed_temporal_dims
+        if allowed is None:
+            continue
+        for dim, bound in loops_by_storage[storage.name]:
+            if bound > 1 and dim not in allowed:
+                return lambda: (
+                    f"storage {storage.name!r}: temporal iteration over "
+                    f"{dim.value} not allowed (allowed: "
+                    f"{sorted(d.value for d in allowed)})")
+    for dim, size, padded in zip(ALL_DIMS, required, row.padded_totals()):
+        if padded < size:
+            return lambda: (f"mapping covers only {padded} of dimension "
+                            f"{dim.value} (layer needs {size})")
+    return None
 
 
 def problem_dims(layer: ConvLayer) -> Dict[Dim, int]:
@@ -396,8 +416,3 @@ def problem_macs(layer: ConvLayer) -> int:
     for size in problem_dims(layer).values():
         product *= size
     return product
-
-
-# Backwards-compatible internal aliases.
-_grouped_dims_reference = problem_dims
-_grouped_macs_reference = problem_macs

@@ -155,7 +155,7 @@ class AcceleratorModel:
         (memoized nest geometry) across evaluations of the same
         architecture/layer geometry; ``validated=True`` additionally skips
         re-validating a mapping the caller has already validated against
-        the analysis target (the mapper's validate-once protocol).
+        the analysis target (the mapper's check-once protocol).
         """
         analyzer = NestAnalyzer(self.architecture, layer, mapping,
                                 check_capacity=check_capacity,
@@ -232,7 +232,8 @@ class AcceleratorModel:
         mappings,
         context: SearchContext,
     ) -> List[Optional[float]]:
-        """Total energy (pJ) per candidate of a *validated* mapping block.
+        """Total energy (pJ) per candidate of a *checked* block of mappings
+        or mapper candidate rows.
 
         Vectorized twin of pricing ``evaluate_layer(...).energy_pj`` for
         each mapping (with full DRAM round-trips — no elision): one

@@ -47,7 +47,7 @@ from repro.systems.albireo import (
     AlbireoSystem,
     albireo_mapping_candidates,
 )
-from repro.workloads import resnet18
+from repro.workloads import lenet5, resnet18
 from repro.workloads.dataspace import (
     ALL_DATASPACES,
     DataSpace,
@@ -564,6 +564,23 @@ def _mapper_candidate_pool(system, target, budget=150, seed=0):
     return [_materialize(spec) for spec in specs]
 
 
+#: Systems and layers of the row-vs-scalar mapper search comparison.
+SEARCH_SYSTEMS = [
+    ("albireo", {}),
+    ("crossbar", {}),
+    ("wdm_delay", {}),
+    ("crossbar-hold-4", {"hold_cycles": 4, "integration_depth": 1}),
+    ("crossbar-gb-16", {"global_buffer_kib": 16}),
+]
+SEARCH_LAYERS = [
+    lenet5().entries[1].layer,
+    ConvLayer(name="wide", m=256, c=256, p=28, q=28, r=3, s=3),
+    ConvLayer(name="stride2", m=64, c=32, p=14, q=14, r=3, s=3,
+              stride_h=2, stride_w=2),
+    ConvLayer(name="primes", m=67, c=31, p=13, q=11, r=3, s=3),
+]
+
+
 @pytest.mark.skipif(not HAVE_NUMPY, reason="batched analyzer needs numpy")
 class TestBatchedAnalyzerEquivalence:
     """The vectorized candidate-axis analyzer is bit-identical to the
@@ -649,13 +666,29 @@ class TestBatchedAnalyzerEquivalence:
         )
         _assert_batch_equivalent(system, target, [mapping])
 
-    def test_search_batched_equals_scalar(self, system):
-        """Full Mapper.search: block path vs per-candidate path produce
-        the same mapping, cost, and counters."""
-        from repro.mapping.mapper import Mapper
+    @pytest.mark.parametrize("budget", [60, 1000, 5000])
+    @pytest.mark.parametrize("layer", SEARCH_LAYERS,
+                             ids=[layer.name for layer in SEARCH_LAYERS])
+    @pytest.mark.parametrize("system_name, config", SEARCH_SYSTEMS,
+                             ids=[name for name, _ in SEARCH_SYSTEMS])
+    def test_search_batched_equals_scalar(self, system_name, config, layer,
+                                          budget):
+        """Full Mapper.search: the row path (checked rows, batch pricing)
+        vs the scalar path (a Mapping per survivor, priced one by one)
+        produce the same winner, cost bits, and counters.
 
-        layer = RESNET_LAYERS[3]
+        Budgets 60 and 1000 draw candidate indices; 5000 composes every
+        candidate of the Albireo and most WDM-delay pools.  ``hold-4``
+        fails about half the candidates on ``max_temporal_product``;
+        ``gb-16`` makes capacity pruning fire.
+        """
+        from repro.mapping.mapper import Mapper
+        from repro.systems.registry import create_system, get_system
+
+        name = system_name.split("-")[0]
+        system = create_system(name, get_system(name).config_type(**config))
         target = system.analysis_layer(layer)
+        seed = system.reference_mapping(layer)
         results = []
         for strip_batch in (False, True):
             cost_fn = system.model.energy_cost_fn(target)
@@ -664,12 +697,10 @@ class TestBatchedAnalyzerEquivalence:
                 del cost_fn.batch
             mapper = Mapper(system.architecture, cost_fn,
                             constraints=system.constraints(target))
-            results.append(mapper.search(target, max_evaluations=120))
-        batched, scalar = results
-        assert batched.cost == scalar.cost
-        assert batched.mapping.canonical_key() \
-            == scalar.mapping.canonical_key()
-        assert (batched.evaluated, batched.valid, batched.deduplicated,
-                batched.pruned_early) \
-            == (scalar.evaluated, scalar.valid, scalar.deduplicated,
-                scalar.pruned_early)
+            result = mapper.search(target, max_evaluations=budget,
+                                   extra_candidates=(seed,))
+            results.append((result.mapping.structure_key(),
+                            result.cost.hex(), result.evaluated,
+                            result.valid, result.deduplicated,
+                            result.pruned_early))
+        assert results[0] == results[1]

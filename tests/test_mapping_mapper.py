@@ -236,7 +236,3 @@ class TestConstraints:
         ))
         with pytest.raises(MappingError):
             constraints.check(mapping)
-
-    def test_bad_capacity_fraction_rejected(self):
-        with pytest.raises(MappingError):
-            StorageConstraint(capacity_fraction=0.0)

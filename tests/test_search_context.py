@@ -3,7 +3,7 @@
 Covers the context construction cache, the process-wide geometry tables
 (a new configuration must not grow the heap), the cheap early capacity
 check (which must agree exactly with the analyzer's CapacityError
-behaviour), the validate-once protocol, and the search-efficiency
+behaviour), the check-once protocol, and the search-efficiency
 counters.
 """
 
@@ -137,25 +137,64 @@ class TestEarlyCapacityCheck:
 
 class TestValidateOnceProtocol:
     def test_candidates_validated_exactly_once(self, system, monkeypatch):
-        """With a context-aware cost fn, each candidate validates once."""
-        calls = []
-        original = Mapping.validate
+        """With a batch-pricing cost fn, each candidate is checked once.
+
+        A seeded Mapping runs Mapping.validate once; a generated row runs
+        the mapper's row check once, and the spatial-only rules run once
+        per spatial group; the analyzers validate nothing (the
+        pre-overhaul code validated twice per candidate)."""
+        from repro.mapping import analysis, mapper as mapper_module
+
+        seeds = tuple(albireo_mapping_candidates(system.config, LAYER))[:2]
+        validated, row_checks, group_checks, analyzer_flags = [], [], [], []
+        original_validate = Mapping.validate
+        original_row = Mapper._row_failure
+        original_group = mapper_module.spatial_failure
+        original_batch = analysis.BatchNestAnalyzer.__init__
 
         def counting_validate(self, architecture, layer):
-            calls.append(self)
-            return original(self, architecture, layer)
+            validated.append(self)
+            return original_validate(self, architecture, layer)
+
+        def counting_row(self, row, required):
+            row_checks.append(row)
+            return original_row(self, row, required)
+
+        def counting_group(group, architecture):
+            group_checks.append(group)
+            return original_group(group, architecture)
+
+        def recording_batch(self, *args, **kwargs):
+            analyzer_flags.append(kwargs.get("validate", True))
+            return original_batch(self, *args, **kwargs)
+
+        def no_scalar_analyzer(self, *args, **kwargs):
+            raise AssertionError("a batch search built a scalar analyzer")
 
         monkeypatch.setattr(Mapping, "validate", counting_validate)
+        monkeypatch.setattr(Mapper, "_row_failure", counting_row)
+        monkeypatch.setattr(mapper_module, "spatial_failure", counting_group)
+        monkeypatch.setattr(analysis.BatchNestAnalyzer, "__init__",
+                            recording_batch)
+        monkeypatch.setattr(analysis.NestAnalyzer, "__init__",
+                            no_scalar_analyzer)
         mapper = Mapper(
             system.architecture,
             cost_fn=system.model.energy_cost_fn(LAYER),
             constraints=albireo_constraints(system.config, LAYER),
         )
-        result = mapper.search(LAYER, max_evaluations=40, seed=0)
+        result = mapper.search(LAYER, max_evaluations=40, seed=0,
+                               extra_candidates=seeds)
         assert result.valid > 0
-        # One validate call per evaluated candidate — none from inside the
-        # analyzer (the pre-overhaul code validated twice per candidate).
-        assert len(calls) == result.evaluated
+        assert [id(m) for m in validated] == [id(m) for m in seeds]
+        assert len(row_checks) == result.evaluated - len(seeds)
+        assert len({id(row) for row in row_checks}) == len(row_checks)
+        # The spatial-only rules ran once per spatial group, covering the
+        # group of every checked row.
+        checked_groups = [id(group) for group in group_checks]
+        assert len(set(checked_groups)) == len(checked_groups)
+        assert {id(row.group) for row in row_checks} <= set(checked_groups)
+        assert analyzer_flags == [False]
 
     def test_pickled_mapping_drops_validation_memo(self, system):
         mapping = system.reference_mapping(LAYER)
