@@ -5,14 +5,16 @@ Each figure benchmark renders its paper-comparable table and both prints it
 benchmark run leaves reviewable artifacts next to the timing numbers.
 Benchmarks that persist machine-readable ``BENCH_*.json`` reports write
 them through :func:`write_bench_json`, which stamps :func:`provenance`
-metadata (git commit, interpreter, platform, UTC timestamp) so a checked-in
-number can always be traced to the tree and machine that produced it.
+metadata (git commit, interpreter, platform, CPU counts, UTC timestamp) so
+a checked-in number can always be traced to the tree and machine that
+produced it.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import os
 import pathlib
 import platform
 import subprocess
@@ -28,19 +30,33 @@ def publish(name: str, text: str) -> None:
     print(f"\n{'=' * 72}\n{text}\n{'=' * 72}")
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=REPO_ROOT,
+        capture_output=True, text=True, timeout=10,
+    ).stdout.strip()
+
+
 def provenance() -> dict:
     """Where/when/on-what a benchmark number was produced."""
     try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
-            capture_output=True, text=True, timeout=10,
-        ).stdout.strip() or None
+        commit = _git("rev-parse", "HEAD") or None
+        # A report is written before its commit, so ``git_commit`` names
+        # the parent of the tree that produced it when this is true.
+        dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     except (OSError, subprocess.SubprocessError):
-        commit = None
+        commit = dirty = None
+    try:
+        usable_cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        usable_cpus = os.cpu_count()
     return {
         "git_commit": commit,
+        "git_dirty": dirty,
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "usable_cpus": usable_cpus,
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"),
     }

@@ -287,7 +287,9 @@ def run_jobs(
     results out while later jobs are still running.
 
     Jobs computed in-process share this call's memo of reference counts
-    (see :mod:`repro.systems.base`); no cache or pool worker sees it.
+    (see :mod:`repro.systems.base`); no cache sees it.  Pool workers
+    keep one such memo per batch, and the planner packs configurations
+    that differ only in clock or scenario into one batch.
     """
     cache = _as_cache(cache)
     counts_memo: Dict = {}

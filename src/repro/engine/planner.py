@@ -21,9 +21,12 @@ worker builds each architecture/energy table once, shares one system
 instance across the chunk's tasks, and ships all results back in a
 single message.  A chunk also carries the few cached entries its tasks
 read (:attr:`TaskChunk.deps`), so a worker needs no copy of the cache.
-Phase 2 — reassembling whole-network evaluations from the warmed cache
-— is cheap and runs in the parent (:func:`repro.engine.executor.
-run_jobs`).
+Chunks are packed into batches by geometry (:func:`_balance`):
+configurations that differ only in clock or scenario ride in one batch,
+whose worker analyzes their reference candidates once and prices them
+per configuration, as the serial path does.  Phase 2 — reassembling
+whole-network evaluations from the warmed cache — is cheap and runs in
+the parent (:func:`repro.engine.executor.run_jobs`).
 
 Planning never changes what is computed, only where and how often:
 results are bit-identical to the serial path, and whole-job cache keys
@@ -80,7 +83,9 @@ class SweepPlan:
     :class:`TaskChunk` segments executed back to back by one worker,
     which ships all their results in a single message.  A chunk (one
     ``system_key``'s tasks) is never divided across batches unless it
-    was itself oversized, so configuration affinity survives packing.
+    was itself oversized, so configuration affinity survives packing,
+    and the chunks of one geometry share a batch unless together they
+    are oversized.
     """
 
     batches: List[List[TaskChunk]]
@@ -176,7 +181,8 @@ def build_plan(jobs: Sequence[EvaluationJob],
 
         with obs.span("planner.balance"):
             batches = _balance(
-                [group for group in groups.values() if group.tasks],
+                [(systems[key].geometry, group)
+                 for key, group in groups.items() if group.tasks],
                 workers)
         plan = SweepPlan(batches=batches, planned=planned,
                          deduplicated=deduplicated, cache_hits=cache_hits)
@@ -193,39 +199,63 @@ def build_plan(jobs: Sequence[EvaluationJob],
     return plan
 
 
-def _balance(groups: List[TaskChunk],
+def _balance(groups: List[Tuple[Any, TaskChunk]],
              workers: int) -> List[List[TaskChunk]]:
-    """Pack config-affine chunks into balanced dispatch batches.
+    """Pack config-affine chunks into balanced, geometry-affine batches.
 
-    A group much bigger than its peers (one slow network job idling the
-    other workers) is first split at mapper-dependency boundaries: a
-    layer task always stays in the same chunk as the search it consumes,
-    so a split never makes a worker redo another chunk's mapper work.
-    The chunks are then packed longest-first onto ``~ 2 x workers``
-    batches (always to the lightest batch), which keeps the pool tail
-    short while amortizing per-message IPC over many tasks.
+    ``groups`` pairs each configuration's chunk with its system's
+    :attr:`~repro.systems.base.PhotonicSystem.geometry`.  A chunk much
+    bigger than its peers (one slow network job idling the other
+    workers) is first split at mapper-dependency boundaries: a layer
+    task always stays in the same chunk as the search it consumes, so a
+    split never makes a worker redo another chunk's mapper work.
+
+    The chunks are then grouped by geometry, so configurations that
+    differ only in clock or scenario share one worker's counts memo.  A
+    group that fits stays whole; a bigger one is cut into runs of whole
+    chunks of about the target size, so a study with fewer geometries
+    than batches still feeds every worker.  An unhashable config
+    (geometry ``None``) is a group of its own.  The runs are packed
+    longest-first onto ``~ 2 x workers`` batches (always to the lightest
+    batch), which keeps the pool tail short while amortizing per-message
+    IPC over many tasks.
     """
     if not groups:
         return []
-    total = sum(len(group) for group in groups)
+    total = sum(len(group) for _geometry, group in groups)
     # Enough batches to keep every worker fed and rebalance around a
     # slow one, but few enough that each ships a worthwhile amount of
     # work per message.
     target = max(4, math.ceil(total / max(workers * 2, 1)))
-    chunks: List[TaskChunk] = []
-    for group in groups:
-        if len(group) <= 2 * target:
-            chunks.append(group)
+    by_geometry: Dict[Any, List[TaskChunk]] = {}
+    for geometry, group in groups:
+        key = group.system_key if geometry is None else geometry
+        by_geometry.setdefault(key, []).extend(
+            [group] if len(group) <= 2 * target else _split(group, target))
+    runs: List[Tuple[int, List[TaskChunk]]] = []
+    for chunks in by_geometry.values():
+        size = sum(len(chunk) for chunk in chunks)
+        if size <= 2 * target:
+            runs.append((size, chunks))
             continue
-        chunks.extend(_split(group, target))
-    chunks.sort(key=lambda chunk: -len(chunk))
-    batch_count = min(len(chunks), max(workers * 2, 1))
+        run: List[TaskChunk] = []
+        size = 0
+        for chunk in chunks:
+            run.append(chunk)
+            size += len(chunk)
+            if size >= target:
+                runs.append((size, run))
+                run, size = [], 0
+        if run:
+            runs.append((size, run))
+    runs.sort(key=lambda sized: -sized[0])
+    batch_count = min(len(runs), max(workers * 2, 1))
     batches: List[List[TaskChunk]] = [[] for _ in range(batch_count)]
     loads = [0] * batch_count
-    for chunk in chunks:
+    for size, run in runs:
         lightest = loads.index(min(loads))
-        batches[lightest].append(chunk)
-        loads[lightest] += len(chunk)
+        batches[lightest].extend(run)
+        loads[lightest] += size
     return [batch for batch in batches if batch]
 
 

@@ -261,11 +261,14 @@ def _sync_tracing(config: Optional[Tuple[float, int]]) -> None:
 def _run_wire_batch(payload):
     """Execute one slim-encoded planner batch; ship packed results back.
 
-    The batch runs against a fresh cache seeded with its chunks' deps,
-    so no state carries over from one batch to the next.  Each segment's
-    tasks share one (memoized) system build and one store scope, and
-    the whole batch answers in a single message: the entries it
-    computed, its hit/miss counts, its trace events and its failures.
+    The batch runs against a fresh cache seeded with its chunks' deps
+    and one fresh counts memo, so no state carries over from one batch
+    to the next.  Each segment's tasks share one (memoized) system build
+    and one store scope; every segment shares the memo, so the clock and
+    scenario twins the planner packs together analyze each reference
+    candidate once.  The whole batch answers in a single message: the
+    entries it computed, its hit/miss counts, its trace events and its
+    failures.
 
     ``guard`` (see :data:`_Guard`) arms the failure-policy machinery:
     each task runs under the watchdog deadline and the fault-injection
@@ -281,6 +284,7 @@ def _run_wire_batch(payload):
     _sync_tracing(obs_config)
     contexts, layer_specs, segments = wire
     cache = EvaluationCache()
+    counts_memo: Dict = {}
     layers = _decode_layers(layer_specs)
     registry = system_registry()
     failed: Dict[str, Tuple[str, str]] = {}
@@ -299,7 +303,8 @@ def _run_wire_batch(payload):
             entry = registry[system_name]
             with obs.span("system.build", system=system_name):
                 system = entry.system_type(
-                    config, store=SystemStore(cache, system_key))
+                    config,
+                    store=SystemStore(cache, system_key, counts_memo))
             for kind_code, layer_id, flags in codes:
                 task = SubTask(
                     kind=_KIND_NAMES[kind_code],

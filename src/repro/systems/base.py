@@ -23,11 +23,14 @@ shared-:class:`~repro.mapping.analysis.SearchContext` candidate pricing,
 fusion-aware network evaluation — is inherited, so every registered
 system gets warmed-cache parallel sweeps for free.
 
-Reference candidates are analyzed once per *geometry* (the system type,
-the architecture's nodes and every config field but the energy-only
-``clock_ghz`` and ``scenario``) and priced per configuration.  The
-sharing lasts one engine run: :func:`~repro.engine.executor.run_jobs`
-hands the systems it builds a fresh memo through their ``store``.
+Reference candidates are analyzed once per *geometry*
+(:attr:`PhotonicSystem.geometry`: the system type, the architecture's
+nodes and every config field but the energy-only ``clock_ghz`` and
+``scenario``) and priced per configuration.  A memo handed in through
+the ``store`` holds the counts: :func:`~repro.engine.executor.run_jobs`
+makes one per call for the systems it builds in-process, and a pool
+worker one per batch, into which the planner packs each geometry's
+configurations together.  No memo outlives its run or batch.
 
 Architecture and energy-table builds are memoized per (builder, config)
 in :func:`build_cached`: configs are frozen dataclasses, so equal configs
@@ -253,22 +256,32 @@ class PhotonicSystem(abc.ABC):
         return best
 
     @functools.cached_property
+    def geometry(self) -> Optional[Tuple]:
+        """What the reference candidates and their counts depend on: the
+        system type, the architecture's nodes and every config field but
+        ``clock_ghz`` and ``scenario``.  ``None`` for an unhashable
+        config, which shares with nothing.  The counts memo and the
+        planner's batch packing both key on it."""
+        geometry = (type(self), self.architecture.nodes, tuple(
+            getattr(self.config, field.name)
+            for field in dataclasses.fields(self.config)
+            if field.name not in _ENERGY_ONLY_FIELDS))
+        try:
+            hash(geometry)
+        except TypeError:  # unhashable custom config
+            return None
+        return geometry
+
+    @functools.cached_property
     def _shared_counts(self) -> Optional[Dict[Tuple, Tuple]]:
         """This geometry's part of the run's memo (shape -> ``((candidate,
         counts or None if invalid), ...)``), looked up on the first
         reference miss: layers that all come from the store never hash it.
         """
         memo = self.store.counts_memo if self.store is not None else None
-        if memo is None:
+        if memo is None or self.geometry is None:
             return None
-        geometry = (type(self), self.architecture.nodes, tuple(
-            getattr(self.config, field.name)
-            for field in dataclasses.fields(self.config)
-            if field.name not in _ENERGY_ONLY_FIELDS))
-        try:
-            return memo.setdefault(geometry, {})
-        except TypeError:  # unhashable custom config: no sharing
-            return None
+        return memo.setdefault(self.geometry, {})
 
     def _select(self, target: ConvLayer,
                 key: Tuple) -> Tuple[Mapping, Optional[AccessCounts]]:

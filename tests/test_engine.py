@@ -30,6 +30,7 @@ from repro.engine.codec import (
     network_from_dict,
     network_to_dict,
 )
+from repro.energy import AGGRESSIVE, CONSERVATIVE
 from repro.systems import AlbireoConfig, AlbireoSystem
 from repro.workloads import tiny_cnn
 
@@ -543,6 +544,70 @@ class TestPlanner:
                         if task.kind == "layer" and task.use_mapper}
             assert consumed <= produced
 
+    @pytest.mark.parametrize("field_name, values", [
+        ("clock_ghz", (4.0, 5.0)),
+        ("scenario", (CONSERVATIVE, AGGRESSIVE)),
+    ], ids=["clock", "scenario"])
+    def test_energy_only_twins_share_a_batch(self, small_network,
+                                             field_name, values):
+        """Configurations that differ only in clock or scenario ride in
+        one batch, so one worker's counts memo serves them all."""
+        configs = [replace(AlbireoConfig(), global_buffer_kib=kib,
+                           **{field_name: value})
+                   for kib in (1024, 2048) for value in values]
+        jobs = config_sweep_jobs(small_network, configs)
+        plan = build_plan(jobs, EvaluationCache(), workers=2)
+        assert len(plan.batches) == 2
+        for batch in plan.batches:
+            assert len(batch) == 2  # both twins, whole
+            assert len({chunk.config.global_buffer_kib
+                        for chunk in batch}) == 1
+
+    def test_oversized_geometry_group_is_cut_into_whole_chunks(
+            self, small_network):
+        """A geometry with more work than a batch should hold is cut into
+        runs of whole configuration chunks, so a study with fewer
+        geometries than batches still feeds every worker."""
+        configs = [replace(AlbireoConfig(), clock_ghz=clock)
+                   for clock in (3.0, 3.1, 3.2, 3.3)]
+        plan = build_plan(config_sweep_jobs(small_network, configs),
+                          EvaluationCache(), workers=2)
+        per_config = len(plan.chunks[0])
+        assert len(plan.batches) == 2
+        assert all(len(batch) == 2 for batch in plan.batches)
+        assert all(len(chunk) == per_config for chunk in plan.chunks)
+        assert len({chunk.system_key for chunk in plan.chunks}) == 4
+
+    def test_one_geometry_mapper_study_fills_every_batch(self):
+        """The one-configuration ``use_mapper`` study is still split over
+        ``2 x workers`` batches: one geometry does not serialize it."""
+        from repro.api import Study
+
+        jobs = Study.from_dict({
+            "systems": ["crossbar"], "networks": ["lenet5", "tiny"],
+            "options": {"use_mapper": True},
+        }).compile()
+        plan = build_plan(jobs, EvaluationCache(), workers=2)
+        assert len(plan.batches) == 4
+        assert len({chunk.system_key for chunk in plan.chunks}) == 1
+
+    def test_unhashable_config_is_its_own_group(self, small_network,
+                                                listed_system):
+        """A config that cannot be hashed has no geometry: its clock
+        twin shares no batch with it, and the pooled run matches serial."""
+        configs = [_ListConfig(notes=["twin"], clock_ghz=clock)
+                   for clock in (4.0, 5.0)]
+        assert _ListSystem(configs[0]).geometry is None
+        jobs = [make_job(small_network, config, system="listed")
+                for config in configs]
+        plan = build_plan(jobs, EvaluationCache(), workers=2)
+        assert len(plan.batches) == 2
+        assert all(len(batch) == 1 for batch in plan.batches)
+        serial = run_jobs(jobs, cache=EvaluationCache())
+        pooled = run_jobs(jobs, workers=2, cache=EvaluationCache())
+        assert [network_evaluation_to_dict(result) for result in pooled] \
+            == [network_evaluation_to_dict(result) for result in serial]
+
     def test_reset_stats_clears_counters(self, small_network):
         cache = EvaluationCache()
         jobs = config_sweep_jobs(small_network, _small_configs(2))
@@ -652,25 +717,48 @@ class _FailingSystem(AlbireoSystem):
         raise ValueError("injected failure")
 
 
-@pytest.fixture
-def failing_system():
+@dataclasses.dataclass(frozen=True)
+class _ListConfig(AlbireoConfig):
+    """An Albireo config holding a list, so it cannot be hashed (module
+    level: worker payloads pickle it by reference)."""
+
+    notes: object = None
+
+
+class _ListSystem(AlbireoSystem):
+    name = "listed"
+    config_type = _ListConfig
+
+
+def _registered(system_type, description):
+    """Register an Albireo-derived test system for one test."""
     from repro.systems import registry
     from repro.systems.albireo import SYSTEM_BUCKETS
 
-    entry = registry.SystemEntry(
-        name="failing",
-        config_type=_FailingConfig,
-        system_type=_FailingSystem,
-        build_architecture=_FailingSystem.build_architecture,
-        build_energy_table=_FailingSystem.build_energy_table,
+    entry = registry.register_system(registry.SystemEntry(
+        name=system_type.name,
+        config_type=system_type.config_type,
+        system_type=system_type,
+        build_architecture=system_type.build_architecture,
+        build_energy_table=system_type.build_energy_table,
         buckets=SYSTEM_BUCKETS,
-        description="test-only fault-injection system",
-    )
-    registry.register_system(entry)
+        description=description,
+    ))
     try:
         yield entry
     finally:
-        registry._REGISTRY.pop("failing", None)
+        registry._REGISTRY.pop(system_type.name, None)
+
+
+@pytest.fixture
+def listed_system():
+    yield from _registered(_ListSystem,
+                           "test-only system with an unhashable config")
+
+
+@pytest.fixture
+def failing_system():
+    yield from _registered(_FailingSystem, "test-only fault-injection system")
 
 
 @pytest.mark.skipif(sys.platform == "win32",

@@ -21,9 +21,9 @@ registering, with no new test code:
   layers share one shape-keyed store entry);
 * reference candidates never read the clock or the scaling scenario, so
   configurations that differ only in those share their action counts
-  within one run, with records identical to running each job alone;
-  configurations that differ in any other field (even one no node
-  carries) share nothing, and no counts outlive the run.
+  within one run or pool batch, with records identical to running each
+  job alone; configurations that differ in any other field (even one no
+  node carries) share nothing, and no counts outlive the run or batch.
 """
 
 import copy
@@ -34,12 +34,19 @@ import pytest
 
 from repro.api import Study
 from repro.energy import AGGRESSIVE, CONSERVATIVE
-from repro.engine import EvaluationCache, make_job, run_job, run_jobs
+from repro.engine import (
+    EvaluationCache,
+    build_plan,
+    make_job,
+    run_job,
+    run_jobs,
+)
 from repro.engine.cache import SystemStore
 from repro.engine.codec import (
     layer_evaluation_to_dict,
     network_evaluation_to_dict,
 )
+from repro.engine.pool import _encode_batch, _run_wire_batch
 from repro.mapping.analysis import NestAnalyzer
 from repro.mapping.mapping import Mapping
 from repro.model.results import NetworkEvaluation
@@ -378,6 +385,21 @@ def _count_analyses(monkeypatch, run):
     return calls[0]
 
 
+def _twin_batch(entry):
+    """The first planned batch of a 2-geometry x 2-clock ResNet18 study
+    at ``workers=2``: one geometry's two clock twins."""
+    geometries = [_with_buffer(entry.config_type(), kib)
+                  for kib in (1024, 2048)]
+    jobs = [make_job(resnet18(), config)
+            for base in geometries for config in (base, _second_clock(base))]
+    return build_plan(jobs, EvaluationCache(), workers=2).batches[0]
+
+
+def _run_batch(chunks):
+    """Run ``chunks`` as one pool batch, in this process."""
+    return _run_wire_batch((0, None, _encode_batch(chunks), None, 0))
+
+
 class TestGeometrySharing:
     """The :meth:`PhotonicSystem.mapping_candidates` contract and the
     run-scoped counts memo that relies on it."""
@@ -462,6 +484,30 @@ class TestGeometrySharing:
             assert analyses([base, _second_scenario(base)]) == one_clock
         assert analyses([base], fused=(False, True)) == one_clock
 
+    def test_worker_batch_analyzes_once_per_geometry(self, entry,
+                                                     monkeypatch):
+        """The planner packs a geometry's clock twins into one pool batch,
+        whose segments share one counts memo: the twins together analyze
+        no more than one of them alone."""
+        batch = _twin_batch(entry)
+        assert len(batch) == 2
+        assert batch[1].config == _second_clock(batch[0].config)
+        twins = _count_analyses(monkeypatch, lambda: _run_batch(batch))
+        alone = _count_analyses(monkeypatch, lambda: _run_batch(batch[:1]))
+        assert alone > 0
+        assert twins == alone
+
+    def test_pooled_energy_only_study_matches_serial(self):
+        study = Study.from_dict({
+            "systems": sorted(ENTRIES), "networks": ["resnet18"],
+            "scenarios": ["conservative", "aggressive"],
+            "grid": {"clock_ghz": [4.0, 5.0],
+                     "global_buffer_kib": [1024, 2048]},
+        })
+        serial = study.run(cache=EvaluationCache())
+        pooled = study.run(workers=2, cache=EvaluationCache())
+        assert pooled.to_records() == serial.to_records()
+
     def test_dram_elision_leaves_its_input_unchanged(self, entry):
         system = entry.system_type()
         for layer in LAYERS:
@@ -495,9 +541,9 @@ class TestGeometrySharing:
 
 
 class TestCountsLifetime:
-    """Shared counts live for one run: never on the cache, never in the
-    process.  A daemon's long-lived cache must stay bounded, and a
-    benchmark's fresh studies must start equally cold."""
+    """Shared counts live for one run, or one pool batch: never on the
+    cache, never in the process.  A daemon's long-lived cache must stay
+    bounded, and a benchmark's fresh studies must start equally cold."""
 
     @staticmethod
     def _study(clocks):
@@ -526,3 +572,13 @@ class TestCountsLifetime:
             lambda: self._study((5.0, 5.5)).run(cache=EvaluationCache()))
         assert first > 0
         assert second == first
+
+    def test_worker_batches_start_cold(self, monkeypatch):
+        """A pool batch's memo dies with it: the same payload run twice
+        in one process analyzes as much the second time."""
+        for entry in ENTRIES.values():
+            batch = _twin_batch(entry)
+            first = _count_analyses(monkeypatch, lambda: _run_batch(batch))
+            second = _count_analyses(monkeypatch, lambda: _run_batch(batch))
+            assert first > 0, entry.name
+            assert second == first, entry.name

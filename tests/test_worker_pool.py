@@ -137,12 +137,14 @@ class TestPoolReuse:
 
     def test_kept_pool_spawns_its_full_worker_count(self):
         """A kept pool whose first dispatch is a single batch still
-        spawns all its workers, so later, wider dispatches use them."""
+        spawns all its workers, so later, wider dispatches use them.
+        ``wide`` has four geometries (the planner packs clock twins of
+        one geometry together), so it dispatches four batches."""
         from repro.api import Study
 
         narrow = Study().systems("albireo").networks("lenet5", "tiny")
         wide = (Study().systems("albireo").networks("tiny")
-                .grid(clock_ghz=[3.0, 3.1, 3.2, 3.3]))
+                .grid(global_buffer_kib=[256, 512, 1024, 2048]))
         with WorkerPool(2) as pool:
             first = narrow.run(cache=EvaluationCache(), pool=pool)
             assert pool.stats.batches == 1
