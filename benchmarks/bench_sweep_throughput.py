@@ -2,11 +2,12 @@
 
 Times the cold (empty-cache) 3-system default-grid ResNet18 sweep —
 every registered system's `repro sweep` configuration grid in one batch
-— through the executor's two strategies, serial and planned parallel:
+— through the executor's one pipeline (plan, run tasks, assemble), with
+its tasks run in-process or on a pool:
 
-* **serial** — one process, the in-process cache sharing sub-results;
-* **planner, 4 workers** — the two-phase scheduler: batch-deduplicated
-  sub-tasks in config-affine chunks, parent-side assembly;
+* **serial** — one process: each job planned, run and assembled in turn;
+* **planner, 4 workers** — the whole batch planned first: deduplicated
+  sub-tasks in config-affine chunks over a pool, parent-side assembly;
 * **planner, 4 workers, warm pool** — the same scheduler dispatching to
   one persistent :class:`~repro.engine.pool.WorkerPool` that survives
   across runs (this PR's headline configuration): pool spawn and fork
@@ -34,9 +35,11 @@ so the medians are untouched by instrumentation.
 A workers x grid-size **scaling curve** runs first (in the clean
 process, before the mode loop grows the heap that every ephemeral
 fork copies): serial vs planner@4 on synthetic config sweeps of
-72 / 288 / 1008 jobs over a deep (384-entry) network, measuring how
-the planner's advantage compounds with grid size (``BENCH_TIER=small``
-stops at 288 jobs for CI).
+72 / 288 / 1008 jobs over a deep (384-entry) network
+(``BENCH_TIER=small`` stops at 288 jobs for CI).  The grid computes a
+few entries per configuration and assembles hundreds, so it also
+checks that neither path decodes a layer entry while it runs and that
+both plan the same tasks.
 
 A **cache-scaling** mode times persistence as the on-disk store grows
 1x / 4x / 16x while the per-run dirty delta stays fixed: the legacy
@@ -52,6 +55,7 @@ pytest.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import importlib.util
@@ -75,12 +79,11 @@ REPEATS = 5
 SCALING_SIZES_SMALL = (72, 288)
 SCALING_SIZES_FULL = SCALING_SIZES_SMALL + (1008,)
 #: Layer entries in the synthetic network.  Deep networks amortize the
-#: per-config phase-1 cost (two unique layer geometries plus one system
+#: per-config task cost (two unique layer geometries plus one system
 #: build per configuration) over many assembled entries.  Both paths
 #: evaluate each geometry once per configuration (layer entries are
-#: keyed by shape), so what grows with depth is the per-entry cost:
-#: serial decodes a cached layer evaluation for every repeated entry,
-#: while the planner only embeds the warm entry in the result dict.
+#: keyed by shape), so what grows with depth is the per-entry cost,
+#: which assembly keeps to embedding the warm entry in the result dict.
 SCALING_ENTRIES = 384
 
 #: Cache-scaling mode: persistence cost as the *store* grows while the
@@ -158,9 +161,8 @@ def synthetic_network(entries: int = SCALING_ENTRIES):
 def synthetic_grid_jobs(network, count: int):
     """``count`` distinct Albireo configurations over ``network`` — a
     pure config sweep (every configuration is a separate system key, so
-    nothing dedups *across* configs; the planner's win is chunked
-    parallel dispatch plus assembly that embeds warm entries instead of
-    decoding them)."""
+    nothing dedups *across* configs; a pool can only win by running
+    the configurations' tasks in parallel)."""
     from dataclasses import replace
 
     from repro.engine import config_sweep_jobs
@@ -173,13 +175,45 @@ def synthetic_grid_jobs(network, count: int):
     return config_sweep_jobs(network, configs)
 
 
+@contextlib.contextmanager
+def _counting_layer_decodes():
+    """Count layer-entry decodes (``codec.layer_evaluation_from_dict``,
+    under every module name it is bound to) inside the block."""
+    from repro.engine import cache, codec
+
+    calls = [0]
+    original = codec.layer_evaluation_from_dict
+
+    def counting(spec):
+        calls[0] += 1
+        return original(spec)
+
+    owners = [module for module in (codec, cache)
+              if getattr(module, "layer_evaluation_from_dict", None)
+              is original]
+    for module in owners:
+        module.layer_evaluation_from_dict = counting
+    try:
+        yield calls
+    finally:
+        for module in owners:
+            module.layer_evaluation_from_dict = original
+
+
+#: The planner counters both paths must report alike (``batches``
+#: counts pool batches only).
+PLAN_COUNTERS = ("planned", "deduplicated", "cache_hits", "phase1_tasks")
+
+
 def _scaling_point(network, count: int, repeats: int) -> dict:
     """Serial vs planner@WORKERS on a ``count``-job synthetic grid.
 
     Results are spot-checked bit-identical (head and tail of the batch)
     rather than exhaustively — the exhaustive contract lives in the
     equivalence tests; re-encoding 1000+ deep evaluations twice would
-    dominate the benchmark itself.
+    dominate the benchmark itself.  Each mode also reports the layer
+    entries it decoded inside ``run_jobs`` (at most, over its repeats)
+    and the tasks it planned.
     """
     from repro.engine import EvaluationCache, run_jobs
     from repro.engine.codec import network_evaluation_to_dict
@@ -188,40 +222,48 @@ def _scaling_point(network, count: int, repeats: int) -> dict:
         return [network_evaluation_to_dict(result)
                 for result in results[:8] + results[-8:]]
 
-    serial_samples, planner_samples = [], []
+    samples = {"serial": [], "planner4": []}
+    decodes = {"serial": 0, "planner4": 0}
+    plans = {}
     reference = None
-    for _ in range(repeats):
-        jobs = synthetic_grid_jobs(network, count)
-        gc.collect()
-        start = time.perf_counter()
-        results = run_jobs(jobs, workers=1, cache=EvaluationCache())
-        serial_samples.append(time.perf_counter() - start)
-        if reference is None:
-            reference = sample(results)
-        # Free the previous rep's result set (hundreds of thousands of
-        # objects at 1000 jobs) before the next timed run: keeping it
-        # alive would tax the next run's GC passes and — for the
-        # planner — every fork, biasing whichever strategy runs later.
-        del results, jobs
-    for _ in range(repeats):
-        jobs = synthetic_grid_jobs(network, count)
-        gc.collect()
-        start = time.perf_counter()
-        results = run_jobs(jobs, workers=WORKERS, cache=EvaluationCache())
-        planner_samples.append(time.perf_counter() - start)
-        assert sample(results) == reference, \
-            f"planner diverged from serial at {count} jobs"
-        del results, jobs
-    serial_s = statistics.median(serial_samples)
-    planner_s = statistics.median(planner_samples)
+    for mode, workers in (("serial", 1), ("planner4", WORKERS)):
+        for _ in range(repeats):
+            jobs = synthetic_grid_jobs(network, count)
+            cache = EvaluationCache()
+            gc.collect()
+            with _counting_layer_decodes() as calls:
+                start = time.perf_counter()
+                results = run_jobs(jobs, workers=workers, cache=cache)
+                samples[mode].append(time.perf_counter() - start)
+            decodes[mode] = max(decodes[mode], calls[0])
+            plans[mode] = {name: getattr(cache.planner, name)
+                           for name in PLAN_COUNTERS}
+            if reference is None:
+                reference = sample(results)
+            assert sample(results) == reference, \
+                f"{mode} diverged from serial at {count} jobs"
+            # Free the previous rep's result set (hundreds of thousands
+            # of objects at 1000 jobs) before the next timed run:
+            # keeping it alive would tax the next run's GC passes and —
+            # for the planner — every fork, biasing whichever strategy
+            # runs later.
+            del results, jobs, cache
+    serial_s = statistics.median(samples["serial"])
+    planner_s = statistics.median(samples["planner4"])
     return {
         "jobs": count,
         "entries": len(network.entries),
-        "serial_samples_s": [round(value, 3) for value in serial_samples],
-        "planner4_samples_s": [round(value, 3) for value in planner_samples],
+        "serial_samples_s": [round(value, 3)
+                             for value in samples["serial"]],
+        "planner4_samples_s": [round(value, 3)
+                               for value in samples["planner4"]],
         "serial_s": round(serial_s, 3),
         "planner4_s": round(planner_s, 3),
         "speedup": round(serial_s / planner_s, 2),
+        "serial_layer_decodes": decodes["serial"],
+        "planner4_layer_decodes": decodes["planner4"],
+        "serial_plan": plans["serial"],
+        "planner4_plan": plans["planner4"],
     }
 
 
@@ -577,7 +619,8 @@ def main() -> dict:
 
 def test_sweep_throughput_benchmark():
     """Pytest entry: parallel must strictly beat serial on the cold
-    default grid, the synthetic curve must show the at-scale win, the
+    default grid, neither path may decode a layer entry on the
+    synthetic curve and both must plan the same tasks there, the
     acceptance grids must plan exactly one task per geometry per
     configuration, parent-side dispatch overhead must stay a small
     fraction of the run, and the traced run must attribute (nearly) all
@@ -613,12 +656,15 @@ def test_sweep_throughput_benchmark():
         (f"no-fault policy overhead too high: guarded {guarded:.3f}s vs "
          f"baseline {baseline:.3f}s "
          f"({report['fault_policy_overhead_pct']:+.1f}%)")
-    # At 1000+ jobs the asymmetry compounds: slim chunked dispatch plus
-    # decode-free assembly must clear 5x over serial.
+    # One pipeline: at every scaling point the serial and the pooled run
+    # assemble from warm entries without decoding any, and they plan
+    # the same tasks (a few per configuration for hundreds of entries).
     for point in report["scaling"]["points"]:
-        assert point["speedup"] > 1.0, point
-        if point["jobs"] >= 1000:
-            assert point["speedup"] >= 5.0, point
+        assert point["serial_layer_decodes"] == 0, point
+        assert point["planner4_layer_decodes"] == 0, point
+        assert point["serial_plan"] == point["planner4_plan"], point
+        assert 0 < point["serial_plan"]["phase1_tasks"] \
+            < point["jobs"] * point["entries"], point
     breakdown = report["overhead_breakdown"]
     assert breakdown["coverage"] >= 0.9
     # Parent-side dispatch overhead (pickle/submit/decode, excluding

@@ -19,7 +19,7 @@ lattice into :class:`~repro.engine.jobs.EvaluationJob` specs and executes
 them through the existing planner/cache/pool
 (:func:`~repro.engine.executor.run_jobs`) — so every study gains
 process-pool parallelism, persistent memoization, and the two-phase
-scheduler for free, with results bit-identical to serial execution.
+scheduler for free, with results bit-identical to in-process runs.
 Execution returns a :class:`~repro.api.results.ResultSet` of tagged
 records.
 

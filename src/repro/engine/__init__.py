@@ -2,7 +2,7 @@
 
 The engine separates *what* to evaluate from *how*: declarative
 :class:`~repro.engine.jobs.EvaluationJob` specs are generated by sweep
-builders, executed serially or over a ``multiprocessing`` pool by
+builders, executed in-process or over a ``multiprocessing`` pool by
 :func:`~repro.engine.executor.run_jobs`, and memoized — whole-job
 results, mapper searches, and layer evaluations — in an
 :class:`~repro.engine.cache.EvaluationCache` keyed by content hashes and
@@ -23,11 +23,11 @@ Quickstart::
     results = run_jobs(jobs, workers=4, cache=cache)
     print(cache.describe_stats())
 
-Parallel batches are scheduled by :mod:`~repro.engine.planner`: jobs are
-expanded into their unique mapper/layer sub-tasks, deduplicated across
-the batch and against the cache, executed in configuration-affine chunks
-(phase 1), and reassembled from the warm cache in the parent (phase 2) —
-bit-identical to serial execution, with the dedup counters reported via
+Every run goes through :mod:`~repro.engine.planner`: jobs are expanded
+into their unique mapper/layer sub-tasks, deduplicated across the run
+and against the cache, executed in-process or in configuration-affine
+pool batches, and assembled from the warm cache in the parent — the same
+records either way, with the dedup counters reported via
 ``cache.planner``.
 
 Modules:
@@ -36,8 +36,8 @@ Modules:
 * :mod:`~repro.engine.cache` — the in-memory + on-disk cache.
 * :mod:`~repro.engine.store` — sharded directory store: locks, LRU, delta IO.
 * :mod:`~repro.engine.planner` — batch expansion, dedup, task chunking.
-* :mod:`~repro.engine.executor` — serial / process-pool batch execution,
-  retry/quarantine failure policy.
+* :mod:`~repro.engine.executor` — the run pipeline (in-process or
+  pooled), retry/quarantine failure policy.
 * :mod:`~repro.engine.pool` — persistent warm worker pool + slim wire codec,
   worker supervision/respawn.
 * :mod:`~repro.engine.faults` — deterministic fault injection + watchdog.
@@ -67,7 +67,6 @@ from repro.engine.executor import (
     JobFailure,
     run_job,
     run_jobs,
-    strip_dram,
 )
 from repro.engine.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.engine.jobs import EvaluationJob, job_system_key, make_job
@@ -125,5 +124,4 @@ __all__ = [
     "reuse_sweep_jobs",
     "run_job",
     "run_jobs",
-    "strip_dram",
 ]

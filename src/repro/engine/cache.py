@@ -107,14 +107,14 @@ class CacheStats:
 class PlannerStats:
     """Counters of the sweep planner's cross-job work elimination.
 
-    Filled by :func:`repro.engine.planner.build_plan` in the parent
-    process: of ``planned`` sub-tasks expanded from a job batch (one per
-    distinct layer shape and flag set of each job), ``deduplicated`` were
-    dropped as duplicates of another job's task with the same
-    configuration and ``cache_hits`` because the cache already held
-    them; ``phase1_tasks``
-    is the unique remainder actually executed, shipped as ``batches``
-    pool dispatch payloads.
+    Filled by the planner (:mod:`repro.engine.planner`) in the parent
+    process, in-process and pooled runs alike: of ``planned`` sub-tasks
+    expanded from a job batch (one per distinct layer shape and flag set
+    of each job), ``deduplicated`` were dropped as duplicates of another
+    job's task with the same configuration and ``cache_hits`` because
+    the cache already held them; ``phase1_tasks`` is the unique
+    remainder actually executed, shipped as ``batches`` pool dispatch
+    payloads on the pooled path (0 in-process).
     """
 
     planned: int = 0
@@ -127,8 +127,8 @@ class PlannerStats:
         return (f"planner: {self.planned} sub-tasks planned, "
                 f"{self.deduplicated} deduplicated, "
                 f"{self.cache_hits} already cached, "
-                f"{self.phase1_tasks} executed in phase 1 "
-                f"({self.batches} batches)")
+                f"{self.phase1_tasks} executed "
+                f"({self.batches} pool batches)")
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-ready counter dict (the ``--json`` stats record)."""

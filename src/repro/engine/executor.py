@@ -1,29 +1,32 @@
-"""Batch job execution: serial or multiprocessing, cache-aware, ordered.
+"""Batch job execution: one pipeline, in-process or pooled, cache-aware.
 
 :func:`run_jobs` is the engine's front door.  It takes a job list (from
 the sweep builders or hand-assembled), consults the cache for finished
-results, computes the misses — serially or across a process pool — and
-returns evaluations in input order.  Parallel execution is verified (see
-``tests/test_engine.py``) to produce bit-identical results to serial
-execution: sub-results ship as JSON dicts whose floats round-trip
-exactly, and ordering is restored by index.
+results and returns evaluations in input order.  Every miss goes one
+way: lookup → plan → run tasks → assemble.
 
-Parallel batches run in two phases.  A planner
-(:mod:`repro.engine.planner`) expands the miss jobs into their unique
-mapper-search and layer-evaluation sub-tasks — deduplicated across the
-whole batch and against the cache — and phase 1 executes those over the
-pool in configuration-affine chunks (one system build per chunk, one
-result message per chunk).  Phase 2 then assembles every
-:class:`~repro.model.results.NetworkEvaluation` in the parent from the
-now-warm cache: each job's result dict embeds its cached layer dicts
-verbatim, and decoding it sums only the network totals — the per-layer
-objects are built only if a caller reads ``layers``.
+* **Plan.**  The planner (:mod:`repro.engine.planner`) expands each job
+  into its mapper-search and layer-evaluation sub-tasks, deduplicated
+  across the run's jobs and against the cache.
+* **Run tasks.**  One guarded task loop
+  (:func:`repro.engine.pool.run_tasks`) computes them, either
+  in-process — each job planned and run when its turn comes — or on a
+  process pool in configuration-affine batches (one system build per
+  configuration, one result message per batch).
+* **Assemble.**  Each :class:`~repro.model.results.NetworkEvaluation` is
+  built in the parent from the now-warm cache: the job's result dict
+  embeds its cached layer dicts verbatim, and decoding it sums only the
+  network totals — the per-layer objects are built only if a caller
+  reads ``layers``.
 
-Workers hold no copy of the parent's cache: each chunk carries the
-cached mapper searches its tasks read, and the entries a worker computes
-are shipped back and merged into the parent's cache (and saved, when
-the cache has a directory).  The parent is the only writer, which keeps
-the on-disk image race-free.
+The two ways of running tasks give bit-identical results (see
+``tests/test_system_contract.py``): sub-results ship as JSON dicts whose
+floats round-trip exactly, and ordering is restored by index.  Workers
+hold no copy of the parent's cache: each chunk carries the cached mapper
+searches its tasks read, and the entries a worker computes are shipped
+back and merged into the parent's cache (and saved, when the cache has a
+directory).  The parent is the only writer, which keeps the on-disk
+image race-free.
 
 When a tracer is active (:mod:`repro.obs`), every phase of this module
 records spans — lookup, planning, pool spawn, dispatch, merge,
@@ -50,27 +53,21 @@ from typing import (
 
 from repro import obs
 from repro.engine import faults
-from repro.engine.cache import EvaluationCache, SystemStore, store_entry_key
-from repro.engine.codec import (
-    layer_to_dict,
-    network_evaluation_from_dict,
-    network_evaluation_to_dict,
-)
+from repro.engine.cache import EvaluationCache, store_entry_key
+from repro.engine.codec import layer_to_dict, network_evaluation_from_dict
 from repro.engine.jobs import EvaluationJob, job_system_key, system_registry
-from repro.engine.planner import SweepPlan, build_plan
-from repro.engine.pool import WorkerPool
-from repro.model.results import (
-    EnergyBreakdown,
-    NetworkEvaluation,
-)
+from repro.engine.planner import Planner, SweepPlan, build_plan
+from repro.engine.pool import WorkerPool, build_system, run_tasks
+from repro.exceptions import SpecError
+from repro.model.results import NetworkEvaluation
 
 #: Per-record completion callback: ``(index, job, outcome)`` where
 #: ``outcome`` is the job's :class:`~repro.model.results.
 #: NetworkEvaluation` (or a :class:`JobFailure` under a capturing
 #: failure policy).  Invoked exactly once per job — the moment its
-#: result slot is assembled, on every execution path (cache hit, serial,
-#: planned parallel, quarantine, final failure) —
-#: in completion order, which is not necessarily input order.  This is
+#: result slot is filled (cache hit, in-process or pooled assembly,
+#: quarantine, final failure) — in completion order, which is not
+#: necessarily input order.  This is
 #: the streaming seam: callers can forward each record while the rest
 #: of the batch is still computing.  An exception raised by the
 #: callback aborts the run (the cooperative-cancellation lever).
@@ -108,10 +105,11 @@ class FailurePolicy:
       skip it immediately — and surfaced as a :class:`JobFailure`.
 
     ``task_timeout`` (seconds, any mode) arms a per-task watchdog
-    (:func:`repro.engine.faults.task_deadline`) around every job and
-    planner sub-task; a task over the deadline raises
-    :class:`~repro.exceptions.TaskTimeoutError`, which then follows the
-    ``on_error`` route like any other failure.
+    (:func:`repro.engine.faults.task_deadline`) around every planner
+    sub-task, in-process and in pool workers alike; a task over the
+    deadline raises :class:`~repro.exceptions.TaskTimeoutError`, and
+    every job that needs the task then follows the ``on_error`` route
+    like any other failure.
     """
 
     on_error: str = "raise"
@@ -150,8 +148,8 @@ class JobFailure:
 
 
 class _SubTaskFailed(Exception):
-    """Internal: phase-2 assembly hit an entry whose worker-side
-    computation failed under the guard (carries the original error)."""
+    """Internal: assembly hit an entry whose computation failed under
+    the guard (carries the original error)."""
 
     def __init__(self, error: str, message: str) -> None:
         super().__init__(f"{error}: {message}")
@@ -159,84 +157,10 @@ class _SubTaskFailed(Exception):
         self.message = message
 
 
-def strip_dram(evaluation: NetworkEvaluation) -> NetworkEvaluation:
-    """Drop DRAM entries (the accelerator-only view of Figs. 2 and 5).
-
-    Only the ``energy`` field is rewritten — ``dataclasses.replace``
-    carries every other field through unchanged, so a field added to
-    :class:`~repro.model.results.LayerEvaluation` later cannot be
-    silently dropped here (regression-tested in ``tests/test_engine.py``).
-    """
-    stripped = []
-    for layer_eval, count in evaluation.layers:
-        entries = {
-            key: value
-            for key, value in layer_eval.energy.entries().items()
-            if key[0] != "DRAM"
-        }
-        stripped.append((
-            dataclasses.replace(layer_eval, energy=EnergyBreakdown(entries)),
-            count,
-        ))
-    return dataclasses.replace(evaluation, layers=tuple(stripped))
-
-
-# ---------------------------------------------------------------------------
-# Single-job execution
-# ---------------------------------------------------------------------------
-
-
-def _compute_job(job: EvaluationJob,
-                 cache: Optional[EvaluationCache],
-                 counts_memo: Optional[Dict] = None) -> NetworkEvaluation:
-    """Evaluate ``job`` (no whole-result cache lookup; sub-results cached).
-
-    The identity dict (an architecture build + full serialization) is only
-    computed when a cache needs keys — and is memoized on the job itself —
-    so uncached runs skip it entirely and cached runs pay for it once.
-    """
-    entry = system_registry()[job.system]
-    with obs.span("job.compute", job=job.describe(), system=job.system):
-        with obs.span("system.build", system=job.system):
-            store = (SystemStore(cache, job_system_key(job), counts_memo)
-                     if cache is not None else None)
-            system = entry.system_type(job.config, store=store)
-        evaluation = system.evaluate_network(
-            job.network, fused=job.fused, use_mapper=job.use_mapper)
-        if not job.include_dram:
-            evaluation = strip_dram(evaluation)
-        if cache is not None:
-            cache.put_result(job.key, network_evaluation_to_dict(evaluation))
-    return evaluation
-
-
 def run_job(job: EvaluationJob,
             cache: CacheLike = None) -> NetworkEvaluation:
     """Evaluate one job, going through the cache when one is given."""
-    cache = _as_cache(cache)
-    if cache is None:
-        return _compute_job(job, None)
-    cached = cache.get_result(job.key)
-    if cached is not None:
-        return network_evaluation_from_dict(cached)
-    return _compute_job(job, cache)
-
-
-def _guarded_compute(job: EvaluationJob,
-                     cache: Optional[EvaluationCache],
-                     guard, attempt: int,
-                     counts_memo: Dict) -> NetworkEvaluation:
-    """:func:`_compute_job` under the failure-policy guard: arm the
-    task-deadline watchdog and consult the fault-injection plan.  With
-    ``guard=None`` this is exactly ``_compute_job`` (zero overhead)."""
-    if guard is None:
-        return _compute_job(job, cache, counts_memo)
-    timeout, _capture, plan_wire = guard
-    plan = faults.FaultPlan.from_wire(plan_wire)
-    with faults.task_deadline(timeout):
-        if plan is not None:
-            plan.check(faults.job_task_key(job), attempt)
-        return _compute_job(job, cache, counts_memo)
+    return run_jobs([job], cache=cache)[0]  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +179,18 @@ def run_jobs(
 ) -> List[Union[NetworkEvaluation, JobFailure]]:
     """Evaluate ``jobs``; results come back in input order.
 
-    ``workers=1`` runs in-process, sharing sub-results through the
-    cache as it goes.  ``workers>1`` plans the cache misses into unique
-    sub-tasks, runs them over a ``multiprocessing`` pool and assembles
-    the results in the parent (see the module docstring); results are
-    bit-identical to the serial path.  ``cache`` may be an
-    :class:`EvaluationCache`, a directory path (opened as a sharded
-    store inside it — see :mod:`repro.engine.store` — safe to share
-    between concurrent processes), or ``None``.
+    Every cache miss goes through one pipeline (see the module
+    docstring): the planner expands it into the sub-tasks no earlier
+    job and no cache entry covers, the tasks run, and the job is
+    assembled from the entries they leave.  ``workers=1`` (or a single
+    miss) runs each job's tasks in-process when its turn comes, so
+    records stream in job order; ``workers>1`` plans every miss first
+    and runs the tasks over a process pool.  Both give bit-identical
+    results.  ``cache`` may be an :class:`EvaluationCache`, a directory
+    path (opened as a sharded store inside it — see
+    :mod:`repro.engine.store` — safe to share between concurrent
+    processes), or ``None``, in which case a run-local in-memory cache
+    carries the sub-results.
 
     ``pool`` (a :class:`~repro.engine.pool.WorkerPool`) keeps the worker
     processes — and their warm architecture builds and search contexts
@@ -278,15 +206,16 @@ def run_jobs(
     feeds a deterministic fault plan (:mod:`repro.engine.faults` —
     a :class:`~repro.engine.faults.FaultPlan`, JSON path, or decoded
     data; ``None`` falls back to the ``REPRO_INJECT`` variable) to
-    every execution path, for testing the machinery above.
+    every sub-task and job, in-process or pooled, for testing the
+    machinery above.
 
     ``on_record`` (an :data:`OnRecordFn`) is invoked exactly once per
     job as its outcome slot is assembled — cache hits during lookup,
-    serial completions, parallel phase-2 assembly, quarantine
-    pre-skips, and finalized failures alike — so callers can stream
-    results out while later jobs are still running.
+    in-process or pooled assembly, quarantine pre-skips, and finalized
+    failures alike — so callers can stream results out while later
+    jobs are still running.
 
-    Jobs computed in-process share this call's memo of reference counts
+    Tasks run in-process share this call's memo of reference counts
     (see :mod:`repro.systems.base`); no cache sees it.  Pool workers
     keep one such memo per batch, and the planner packs configurations
     that differ only in clock or scenario into one batch.
@@ -312,7 +241,7 @@ def run_jobs(
     with obs.span("run_jobs", jobs=total, workers=workers) as run_span:
         # Resolve whole-job cache hits up front (counts the hits/misses).
         # Job identity dicts/keys are memoized on the jobs themselves, so
-        # the serial path below never rebuilds the architecture
+        # planning and assembly below never rebuild the architecture
         # serialization.
         misses: List[int] = []
         with obs.span("run_jobs.lookup", jobs=total):
@@ -350,13 +279,16 @@ def run_jobs(
                     on_record(index, jobs[index], results[index])
             misses = screened
 
+        # Misses run against the caller's cache, or a run-local one: the
+        # planner dedups against it, and assembly reads from it.
+        work_cache = cache if cache is not None else EvaluationCache()
         remaining = misses
         attempt = 0
         while remaining:
             round_failures: Dict[int, Tuple[str, str]] = {}
-            _execute_round(jobs, remaining, results, cache, workers, pool,
-                           guard, attempt, round_failures, counts_memo,
-                           on_record)
+            _execute_round(jobs, remaining, results, work_cache, workers,
+                           pool, guard, attempt, round_failures,
+                           counts_memo, on_record)
             if not round_failures:
                 break
             if cache is not None:
@@ -408,7 +340,7 @@ def _execute_round(
     jobs: List[EvaluationJob],
     misses: List[int],
     results: List[Optional[Union[NetworkEvaluation, JobFailure]]],
-    cache: Optional[EvaluationCache],
+    cache: EvaluationCache,
     workers: int,
     pool: Optional[WorkerPool],
     guard,
@@ -419,77 +351,88 @@ def _execute_round(
 ) -> None:
     """One (re)attempt at the given miss indices (see :func:`run_jobs`).
 
-    Runs the misses through the planner and the pool, or serially when
-    there is a single worker or a single miss.  Under a capturing guard,
-    a failing job lands in ``round_failures`` as ``index -> (error type,
-    message)`` instead of raising; successful jobs fill ``results`` and
-    fire ``on_record`` (failures do not — they are not final until the
-    retry loop gives up on them).
+    Plans the misses into sub-tasks, runs them, and assembles each job
+    from the entries they leave in ``cache``.  With several workers and
+    several misses the whole round is planned first and its tasks run
+    on the pool; otherwise each job is planned, run and assembled in
+    turn, in-process, so its record streams before the next job starts.
+    Under a capturing guard, a failing job lands in ``round_failures``
+    as ``index -> (error type, message)`` instead of raising; successful
+    jobs fill ``results`` and fire ``on_record`` (failures do not — they
+    are not final until the retry loop gives up on them).
     """
     capture = guard is not None and guard[1]
+    fault_plan = (faults.FaultPlan.from_wire(guard[2])
+                  if guard is not None else None)
+    recipes: Dict[Tuple, List[Tuple]] = {}
+
+    def finish(index: int, failed: Dict[str, Tuple[str, str]]) -> None:
+        job = jobs[index]
+        try:
+            # Job-level injected faults (``...:job`` keys) fire here, on
+            # every execution path.
+            if fault_plan is not None:
+                fault_plan.check(faults.job_task_key(job), attempt)
+            result_dict = _assemble_job(job, cache, recipes, failed)
+            cache.put_result(job.key, result_dict)
+            results[index] = network_evaluation_from_dict(result_dict)
+        except _SubTaskFailed as error:
+            # A sub-task this job needs failed under the guard: route the
+            # job through the policy rather than recompute the task.
+            round_failures[index] = (error.error, error.message)
+            return
+        except Exception as error:
+            if not capture:
+                raise
+            round_failures[index] = (type(error).__name__, str(error))
+            return
+        if on_record is not None:
+            on_record(index, job, results[index])
+
     if workers > 1 and len(misses) > 1:
-        # The planner needs a cache to dedup against and assemble from;
-        # a cache-less parallel run plans through a run-local one
-        # (discarded afterwards — results are what matters).
-        work_cache = cache if cache is not None else EvaluationCache()
-        sweep_plan = build_plan([jobs[index] for index in misses],
-                                work_cache, workers)
-        failed_entries = _execute_phase1(sweep_plan, work_cache, workers,
-                                         pool=pool, guard=guard,
-                                         attempt=attempt)
+        sweep_plan = build_plan([jobs[index] for index in misses], cache,
+                                workers)
+        failed = _execute_phase1(sweep_plan, cache, workers, pool=pool,
+                                 guard=guard, attempt=attempt)
         # Phase 2: every sub-result is now warm — assembling the network
         # evaluations is pure cache lookups, done in the parent so
         # nothing is shipped twice.
-        fault_plan = (faults.FaultPlan.from_wire(guard[2])
-                      if guard is not None else None)
         with obs.span("run_jobs.assemble", jobs=len(misses)):
-            recipes: Dict[Tuple, List[Tuple]] = {}
             for index in misses:
-                job = jobs[index]
+                finish(index, failed)
+        return
+
+    # In-process: one planner for the round, so a task planned (or
+    # failed) for an earlier job is neither run nor retried for a later
+    # one, and one system per configuration, sharing the run's memo.
+    planner = Planner(cache)
+    systems: Dict[str, Any] = {}
+    failed = {}
+    task_guard = None if guard is None else (guard[0], capture, fault_plan)
+    with obs.span("run_jobs.serial", jobs=len(misses)):
+        try:
+            for index in misses:
                 try:
-                    # Job-level injected faults (``...:job`` keys) fire
-                    # on every execution path — here, before assembly
-                    # short-circuits the work.
-                    if fault_plan is not None:
-                        fault_plan.check(faults.job_task_key(job), attempt)
-                    result_dict = _assemble_job(job, work_cache, recipes,
-                                                failed_entries)
-                    if result_dict is not None:
-                        work_cache.put_result(job.key, result_dict)
-                        results[index] = \
-                            network_evaluation_from_dict(result_dict)
-                    else:  # an entry is missing: evaluate normally
-                        results[index] = _guarded_compute(
-                            job, work_cache, guard, attempt, counts_memo)
-                except _SubTaskFailed as failed:
-                    # A sub-task this job needs failed under the guard.
-                    # Do NOT fall back to parent-side compute — a
-                    # timed-out task would just be recomputed without
-                    # its budget; route it through the policy instead.
-                    round_failures[index] = (failed.error, failed.message)
-                    continue
+                    chunk = planner.expand(jobs[index])
+                    if chunk.tasks:
+                        system = systems.get(chunk.system_key)
+                        if system is None:
+                            system = systems[chunk.system_key] = \
+                                build_system(chunk.system, chunk.config,
+                                             chunk.system_key, cache,
+                                             counts_memo)
+                        run_tasks(system, chunk.system, chunk.system_key,
+                                  chunk.tasks, task_guard, attempt, failed)
                 except Exception as error:
                     if not capture:
                         raise
                     round_failures[index] = (type(error).__name__,
                                              str(error))
                     continue
-                if on_record is not None:
-                    on_record(index, job, results[index])
-    else:
-        with obs.span("run_jobs.serial", jobs=len(misses)):
-            for index in misses:
-                try:
-                    results[index] = _guarded_compute(
-                        jobs[index], cache, guard, attempt, counts_memo)
-                except Exception as error:
-                    if not capture:
-                        raise
-                    round_failures[index] = (type(error).__name__,
-                                             str(error))
-                    continue
-                if on_record is not None:
-                    on_record(index, jobs[index], results[index])
+                with obs.span("run_jobs.assemble", jobs=1):
+                    finish(index, failed)
+        finally:
+            planner.report()
 
 
 def _assembly_recipe(system: Any, job: EvaluationJob) -> List[Tuple]:
@@ -515,9 +458,9 @@ def _assembly_recipe(system: Any, job: EvaluationJob) -> List[Tuple]:
 def _assemble_job(
     job: EvaluationJob,
     cache: EvaluationCache,
-    recipes: Optional[Dict[Tuple, List[Tuple]]] = None,
-    failed_entries: Optional[Dict[str, Tuple[str, str]]] = None,
-) -> Optional[Dict[str, Any]]:
+    recipes: Dict[Tuple, List[Tuple]],
+    failed_entries: Dict[str, Tuple[str, str]],
+) -> Dict[str, Any]:
     """Build a job's result dict straight from warm layer entries.
 
     The dict form of what :meth:`~repro.systems.base.PhotonicSystem.
@@ -526,15 +469,16 @@ def _assemble_job(
     embedding them verbatim is bit-identical and skips both conversions.
     Layer entries are shared by shape, so an entry stored under another
     same-shape layer is embedded as a shallow copy carrying this job's
-    own layer dict.  Returns ``None`` when any entry is missing — the
-    caller then falls back to ordinary evaluation.  When the missing
-    entry is listed in ``failed_entries`` (its phase-1 computation
-    failed under the failure-policy guard), :class:`_SubTaskFailed` is
-    raised instead so the caller routes the job through the policy
-    rather than silently recomputing a known-failing task.
+    own layer dict; ``include_dram=False`` drops the DRAM rows from that
+    copy (the accelerator-only view of Figs. 2 and 5).  A missing entry
+    listed in ``failed_entries`` (its computation failed under the
+    failure-policy guard) raises :class:`_SubTaskFailed`, so the caller
+    routes the job through the policy.  Any other missing entry means
+    the system's sub-task seams disagree with this walk: a
+    :class:`~repro.exceptions.SpecError` names the job and the key.
 
-    ``recipes`` (optional, per-run) memoizes the store-key walk for
-    systems whose task keys are configuration-free, so a sweep of many
+    ``recipes`` (per round) memoizes the store-key walk for systems
+    whose task keys are configuration-free, so a sweep of many
     configurations over one network derives the keys once.
     """
     from repro.model.accelerator import NetworkOptions
@@ -547,8 +491,7 @@ def _assemble_job(
     system_key = job_system_key(job)
     recipe = None
     memo_key = None
-    if recipes is not None \
-            and getattr(system, "subtask_keys_config_free", False):
+    if getattr(system, "subtask_keys_config_free", False):
         memo_key = (type(system), id(job.network), job.fused,
                     job.use_mapper)
         recipe = recipes.get(memo_key)
@@ -561,9 +504,12 @@ def _assemble_job(
         key = store_entry_key(system_key, store_key)
         layer_dict = cache.peek("layers", key)
         if layer_dict is None:
-            if failed_entries and key in failed_entries:
+            if key in failed_entries:
                 raise _SubTaskFailed(*failed_entries[key])
-            return None
+            raise SpecError(
+                f"{job.describe()}: layer entry {key} was planned but "
+                f"never computed; {job.system}'s sub-task seams disagree "
+                f"with assembly")
         if layer_dict["layer"] != layer_spec or not job.include_dram:
             layer_dict = dict(layer_dict, layer=layer_spec)
             if not job.include_dram:

@@ -4,18 +4,19 @@ The resilience layer (worker supervision in :mod:`repro.engine.pool`,
 retry/quarantine policy in :mod:`repro.engine.executor`) needs a test
 substrate that makes failures happen *on demand and deterministically*:
 a :class:`FaultPlan` is a list of :class:`FaultSpec` rules keyed by a
-task-key pattern and an attempt number.  When a worker (or the serial
-executor) is about to compute a matching task on the matching attempt,
-the spec's action fires:
+task-key pattern and an attempt number.  When a task is about to run on
+the matching attempt — in-process or in a pool worker — the spec's
+action fires:
 
 * ``"raise"`` — raise :class:`InjectedFault` (an ordinary task error);
 * ``"sleep"`` — sleep ``seconds`` (drives the ``task_timeout`` watchdog);
 * ``"exit"``  — ``os._exit(1)`` (abrupt worker death, atexit skipped);
-* ``"kill"``  — SIGKILL the worker's own pid (the OOM-killer stand-in).
+* ``"kill"``  — SIGKILL the worker's own pid (the OOM-killer stand-in;
+  in-process it kills the caller).
 
 Task keys are ``"system:layer:kind"`` for planner sub-tasks (``kind`` is
 ``mapper`` or ``layer``) and ``"system:network:job"`` for whole jobs
-(the serial path and parent-side assembly fallback); ``match`` is an
+(checked when the job is assembled); ``match`` is an
 :func:`fnmatch.fnmatch` pattern over that string, so ``"*:conv1:*"``
 targets one layer everywhere and ``"albireo:*"`` one system.  ``attempt``
 pins the rule to one (re)dispatch attempt — ``0`` fires on the first try

@@ -1,11 +1,11 @@
 """Layer-grain sweep planning: jobs in, deduplicated task chunks out.
 
-:func:`run_jobs` parallelizes a batch of whole-network jobs; this module
-turns that batch into a two-phase *work plan* first.  Each job is
-expanded into the sub-tasks its evaluation would memoize through the
-``store`` seam — mapper searches and per-layer evaluations, enumerated
-by :meth:`repro.systems.base.PhotonicSystem.enumerate_sub_tasks` — and
-the expansion is deduplicated two ways:
+:func:`run_jobs` runs every batch of whole-network jobs as sub-tasks
+planned here.  Each job is expanded into the sub-tasks its evaluation
+would memoize through the ``store`` seam — mapper searches and
+per-layer evaluations, enumerated by
+:meth:`repro.systems.base.PhotonicSystem.enumerate_sub_tasks` — and the
+expansion is deduplicated two ways:
 
 * **by store key**, within a job and across the batch.  Store keys name
   a layer's shape, not the layer, so same-geometry layers (ResNet18's
@@ -14,23 +14,26 @@ the expansion is deduplicated two ways:
   sharing a configuration;
 * **against the cache**, so warm entries are never re-planned.
 
-The unique remainder is grouped into :class:`TaskChunk` payloads with
-configuration affinity: every task of one ``system_key`` travels in one
-chunk (split at mapper-dependency boundaries only when oversized), so a
-worker builds each architecture/energy table once, shares one system
-instance across the chunk's tasks, and ships all results back in a
-single message.  A chunk also carries the few cached entries its tasks
-read (:attr:`TaskChunk.deps`), so a worker needs no copy of the cache.
+An in-process run expands each job when its turn comes
+(:class:`Planner`) and runs its new tasks at once.  A pooled run plans
+the whole batch first (:func:`build_plan`) and groups the unique
+remainder into :class:`TaskChunk` payloads with configuration affinity:
+every task of one ``system_key`` travels in one chunk (split at
+mapper-dependency boundaries only when oversized), so a worker builds
+each architecture/energy table once, shares one system instance across
+the chunk's tasks, and ships all results back in a single message.
+A chunk also carries the few cached entries its tasks read
+(:attr:`TaskChunk.deps`), so a worker needs no copy of the cache.
 Chunks are packed into batches by geometry (:func:`_balance`):
 configurations that differ only in clock or scenario ride in one batch,
 whose worker analyzes their reference candidates once and prices them
-per configuration, as the serial path does.  Phase 2 — reassembling
-whole-network evaluations from the warmed cache — is cheap and runs in
+per configuration, as an in-process run does.  Reassembling
+whole-network evaluations from the warmed cache is cheap and runs in
 the parent (:func:`repro.engine.executor.run_jobs`).
 
 Planning never changes what is computed, only where and how often:
-results are bit-identical to the serial path, and whole-job cache keys
-are untouched.
+in-process and pooled results are bit-identical, and whole-job cache
+keys are untouched.
 """
 
 from __future__ import annotations
@@ -102,12 +105,86 @@ class SweepPlan:
         return sum(len(chunk) for chunk in self.chunks)
 
 
-def _expand_tasks(system: Any,
-                  job: EvaluationJob) -> List[Tuple[Any, Tuple]]:
-    """One job's sub-tasks with their store keys precomputed."""
-    return [(task, system.sub_task_store_key(task))
-            for task in system.enumerate_sub_tasks(
-                job.network, fused=job.fused, use_mapper=job.use_mapper)]
+class Planner:
+    """Expands jobs into sub-tasks one at a time, against ``cache``.
+
+    A task is kept only when no job expanded before it planned the same
+    entry and the cache lacks it.  :func:`build_plan` expands a whole
+    batch for the pool; an in-process run (:func:`repro.engine.executor.
+    run_jobs`) expands each job when its turn comes, so both plan the
+    same tasks for one job list.
+    """
+
+    def __init__(self, cache: EvaluationCache) -> None:
+        self.cache = cache
+        self.planned = self.deduplicated = self.cache_hits = self.tasks = 0
+        #: system_key -> a store-less system (keys, geometry, expansion).
+        self.systems: Dict[str, Any] = {}
+        self._registry = system_registry()
+        self._seen: set = set()  # entry keys already planned or cached
+        # (system class, network identity, fused, use_mapper) ->
+        # [(task, store key), ...].  Systems declaring their task keys
+        # configuration-free (all built-ins) expand each network once per
+        # run instead of once per job; the jobs keep their networks
+        # alive, so identity keying is stable here.
+        self._expansions: Dict[Tuple, List[Tuple[Any, Tuple]]] = {}
+
+    def expand(self, job: EvaluationJob) -> TaskChunk:
+        """``job``'s new sub-tasks, as a chunk of its configuration."""
+        system_key = job_system_key(job)
+        system = self.systems.get(system_key)
+        if system is None:
+            system = self.systems[system_key] = \
+                self._registry[job.system].system_type(job.config)
+        memo_key = (type(system), id(job.network), job.fused,
+                    job.use_mapper)
+        expansion = self._expansions.get(memo_key)
+        if expansion is None:
+            expansion = [(task, system.sub_task_store_key(task))
+                         for task in system.enumerate_sub_tasks(
+                             job.network, fused=job.fused,
+                             use_mapper=job.use_mapper)]
+            if system.subtask_keys_config_free:
+                self._expansions[memo_key] = expansion
+        chunk = TaskChunk(system=job.system, config=job.config,
+                          system_key=system_key)
+        cache = self.cache
+        seen = self._seen
+        for task, store_key in expansion:
+            self.planned += 1
+            entry_key = store_entry_key(system_key, store_key)
+            if entry_key in seen:
+                self.deduplicated += 1
+                continue
+            seen.add(entry_key)
+            if cache.contains(_TASK_NAMESPACE[task.kind], entry_key):
+                self.cache_hits += 1
+                continue
+            if task.kind == "mapper":
+                cluster = ("search", entry_key)
+            elif task.use_mapper:
+                search_key = store_entry_key(
+                    system_key, system._mapper_store_key(task.layer))
+                cluster = ("search", search_key)
+                if search_key not in chunk.deps:
+                    search = cache.peek("mappings", search_key)
+                    if search is not None:
+                        chunk.deps[search_key] = search
+            else:
+                cluster = ("solo", entry_key)
+            chunk.tasks.append(task)
+            chunk.clusters.append(cluster)
+        self.tasks += len(chunk.tasks)
+        return chunk
+
+    def report(self, batches: int = 0) -> None:
+        """Fold this planner's counts into ``cache.planner``."""
+        stats = self.cache.planner
+        stats.planned += self.planned
+        stats.deduplicated += self.deduplicated
+        stats.cache_hits += self.cache_hits
+        stats.phase1_tasks += self.tasks
+        stats.batches += batches
 
 
 def build_plan(jobs: Sequence[EvaluationJob],
@@ -119,79 +196,26 @@ def build_plan(jobs: Sequence[EvaluationJob],
     report them alongside the hit/miss statistics.
     """
     with obs.span("planner.build_plan", jobs=len(jobs)) as plan_span:
-        registry = system_registry()
+        planner = Planner(cache)
         groups: Dict[str, TaskChunk] = {}
-        seen = set()  # entry keys already planned (or found cached)
-        planned = deduplicated = cache_hits = 0
-        systems: Dict[str, Any] = {}
-        # (system class, network identity, fused, use_mapper) ->
-        # [(task, store key), ...].  Systems declaring their task keys
-        # configuration-free (all built-ins) expand each network once per
-        # batch instead of once per job; the jobs keep their networks
-        # alive, so identity keying is stable here.
-        expansions: Dict[Tuple, List[Tuple[Any, Tuple]]] = {}
-
         with obs.span("planner.expand"):
             for job in jobs:
-                system_key = job_system_key(job)
-                system = systems.get(system_key)
-                if system is None:
-                    entry = registry[job.system]
-                    system = entry.system_type(job.config)
-                    systems[system_key] = system
-                group = groups.get(system_key)
-                if group is None:
-                    group = TaskChunk(system=job.system, config=job.config,
-                                      system_key=system_key)
-                    groups[system_key] = group
-                if getattr(system, "subtask_keys_config_free", False):
-                    memo_key = (type(system), id(job.network), job.fused,
-                                job.use_mapper)
-                    expansion = expansions.get(memo_key)
-                    if expansion is None:
-                        expansion = _expand_tasks(system, job)
-                        expansions[memo_key] = expansion
-                else:
-                    expansion = _expand_tasks(system, job)
-                for task, store_key in expansion:
-                    planned += 1
-                    entry_key = store_entry_key(system_key, store_key)
-                    if entry_key in seen:
-                        deduplicated += 1
-                        continue
-                    seen.add(entry_key)
-                    if cache.contains(_TASK_NAMESPACE[task.kind],
-                                      entry_key):
-                        cache_hits += 1
-                        continue
-                    if task.kind == "mapper":
-                        cluster = ("search", entry_key)
-                    elif task.use_mapper:
-                        search_key = store_entry_key(
-                            system_key, system._mapper_store_key(task.layer))
-                        cluster = ("search", search_key)
-                        if search_key not in group.deps:
-                            search = cache.peek("mappings", search_key)
-                            if search is not None:
-                                group.deps[search_key] = search
-                    else:
-                        cluster = ("solo", len(group.tasks))
-                    group.tasks.append(task)
-                    group.clusters.append(cluster)
+                chunk = planner.expand(job)
+                group = groups.setdefault(chunk.system_key, chunk)
+                if group is not chunk:
+                    group.tasks += chunk.tasks
+                    group.clusters += chunk.clusters
+                    group.deps.update(chunk.deps)
 
         with obs.span("planner.balance"):
             batches = _balance(
-                [(systems[key].geometry, group)
+                [(planner.systems[key].geometry, group)
                  for key, group in groups.items() if group.tasks],
                 workers)
-        plan = SweepPlan(batches=batches, planned=planned,
-                         deduplicated=deduplicated, cache_hits=cache_hits)
-        stats = cache.planner
-        stats.planned += plan.planned
-        stats.deduplicated += plan.deduplicated
-        stats.cache_hits += plan.cache_hits
-        stats.phase1_tasks += plan.phase1_tasks
-        stats.batches += len(plan.batches)
+        plan = SweepPlan(batches=batches, planned=planner.planned,
+                         deduplicated=planner.deduplicated,
+                         cache_hits=planner.cache_hits)
+        planner.report(len(batches))
         for counter in ("planned", "deduplicated", "cache_hits",
                         "phase1_tasks"):
             plan_span.set(counter, getattr(plan, counter))

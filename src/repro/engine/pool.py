@@ -30,8 +30,8 @@ of the parallel sweep path in three ways:
   flags)`` triples, and result messages pack the homogeneous scalar
   metrics of layer evaluations into typed :mod:`array` columns.  The
   decoded entries are reconstructed field-for-field in the canonical
-  codec order, so cached values remain bit-identical to serially
-  computed ones.
+  codec order, so cached values remain bit-identical to ones computed
+  in-process.
 
 Interrupt safety: any exception while a dispatch is in flight — a
 ``KeyboardInterrupt`` or an abandoned result iterator included — closes
@@ -258,6 +258,50 @@ def _sync_tracing(config: Optional[Tuple[float, int]]) -> None:
     _WORKER_OBS = config
 
 
+def build_system(name: str, config: Any, system_key: str,
+                 cache: EvaluationCache, counts_memo: Dict) -> Any:
+    """One configuration's system, reading and writing ``cache`` through
+    a store that shares ``counts_memo`` (see :mod:`repro.systems.base`)."""
+    from repro.engine.jobs import system_registry
+
+    with obs.span("system.build", system=name):
+        return system_registry()[name].system_type(
+            config, store=SystemStore(cache, system_key, counts_memo))
+
+
+def run_tasks(system: Any, name: str, system_key: str,
+              tasks: Iterable[Any], guard: Any, attempt: int,
+              failed: Dict[str, Tuple[str, str]]) -> None:
+    """Compute ``tasks`` on ``system`` (registered as ``name``, stored
+    under ``system_key``); their entries land in its store.
+
+    The one task loop, for pool workers and in-process runs alike.
+    ``guard`` is ``(task_timeout, capture, fault plan)``, or ``None``
+    for the unguarded fast path (no try/except per task at all).  Under
+    a guard each task runs inside the watchdog deadline after the fault
+    plan's check, and, when ``capture`` is set, a task's exception is
+    recorded in ``failed`` against its store-entry key instead of
+    propagating, so the remaining tasks still run.
+    """
+    if guard is None:
+        for task in tasks:
+            system.compute_sub_task(task)
+        return
+    timeout, capture, plan = guard
+    for task in tasks:
+        try:
+            with faults.task_deadline(timeout):
+                if plan is not None:
+                    plan.check(faults.sub_task_key(name, task), attempt)
+                system.compute_sub_task(task)
+        except Exception as error:
+            if not capture:
+                raise
+            key = store_entry_key(system_key,
+                                  system.sub_task_store_key(task))
+            failed[key] = (type(error).__name__, str(error))
+
+
 def _run_wire_batch(payload):
     """Execute one slim-encoded planner batch; ship packed results back.
 
@@ -270,14 +314,11 @@ def _run_wire_batch(payload):
     entries it computed, its hit/miss counts, its trace events and its
     failures.
 
-    ``guard`` (see :data:`_Guard`) arms the failure-policy machinery:
-    each task runs under the watchdog deadline and the fault-injection
-    hook, and — when ``capture`` is set — a task exception is recorded
-    against its store-entry key in the reply's ``failed`` map instead of
-    aborting the dispatch, so the surviving tasks of the batch still
-    land in the cache.  ``guard=None`` is the zero-overhead fast path.
+    ``guard`` (see :data:`_Guard`) arms :func:`run_tasks`' per-task
+    watchdog, fault injection and failure capture; a captured failure
+    rides back in the reply's ``failed`` map, so the surviving tasks of
+    the batch still land in the cache.
     """
-    from repro.engine.jobs import system_registry
     from repro.systems.base import SubTask
 
     index, obs_config, wire, guard, attempt = payload
@@ -286,13 +327,10 @@ def _run_wire_batch(payload):
     cache = EvaluationCache()
     counts_memo: Dict = {}
     layers = _decode_layers(layer_specs)
-    registry = system_registry()
     failed: Dict[str, Tuple[str, str]] = {}
-    if guard is None:
-        timeout, capture, plan = None, False, None
-    else:
+    if guard is not None:
         timeout, capture, plan_wire = guard
-        plan = faults.FaultPlan.from_wire(plan_wire)
+        guard = (timeout, capture, faults.FaultPlan.from_wire(plan_wire))
     with obs.span("worker.batch", segments=len(segments),
                   tasks=sum(len(codes) for _index, codes in segments)):
         for context_index, codes in segments:
@@ -300,33 +338,16 @@ def _run_wire_batch(payload):
             # adopt(), not merge(): the parent already holds these
             # entries, so they must not ride back with the results.
             cache.adopt({"mappings": deps})
-            entry = registry[system_name]
-            with obs.span("system.build", system=system_name):
-                system = entry.system_type(
-                    config,
-                    store=SystemStore(cache, system_key, counts_memo))
-            for kind_code, layer_id, flags in codes:
-                task = SubTask(
-                    kind=_KIND_NAMES[kind_code],
-                    layer=layers[layer_id],
-                    use_mapper=bool(flags & 1),
-                    input_from_dram=bool(flags & 2),
-                    output_to_dram=bool(flags & 4))
-                if guard is None:
-                    system.compute_sub_task(task)
-                    continue
-                try:
-                    with faults.task_deadline(timeout):
-                        if plan is not None:
-                            plan.check(faults.sub_task_key(system_name,
-                                                           task), attempt)
-                        system.compute_sub_task(task)
-                except Exception as error:
-                    if not capture:
-                        raise
-                    key = store_entry_key(system_key,
-                                          system.sub_task_store_key(task))
-                    failed[key] = (type(error).__name__, str(error))
+            system = build_system(system_name, config, system_key, cache,
+                                  counts_memo)
+            run_tasks(system, system_name, system_key, (
+                SubTask(kind=_KIND_NAMES[kind_code],
+                        layer=layers[layer_id],
+                        use_mapper=bool(flags & 1),
+                        input_from_dram=bool(flags & 2),
+                        output_to_dram=bool(flags & 4))
+                for kind_code, layer_id, flags in codes),
+                guard, attempt, failed)
     tracer = obs.current_tracer()
     events = tracer.drain() if tracer.enabled else None
     return (index, _pack_added(cache.pop_added()), cache.stats_snapshot(),
@@ -378,7 +399,7 @@ class WorkerPool:
     Workers spawn lazily on the first dispatch, ``min(workers,
     cpu_count)`` of them, and hold no cache state: every batch carries
     the few cached entries it reads (see the module docstring).  Results
-    are bit-identical to serial execution — the pool only moves cache
+    are bit-identical to in-process runs — the pool only moves cache
     entries, never recomputes them differently.
     """
 

@@ -21,15 +21,20 @@ Everything else — per-shape reference-mapping caches, the mapper-search
 and layer-evaluation ``store`` seam the sweep engine memoizes through,
 shared-:class:`~repro.mapping.analysis.SearchContext` candidate pricing,
 fusion-aware network evaluation — is inherited, so every registered
-system gets warmed-cache parallel sweeps for free.
+system gets warmed-cache parallel sweeps for free.  The sweep engine
+drives a system only through the sub-task seams
+(:meth:`PhotonicSystem.enumerate_sub_tasks`, :meth:`compute_sub_task`)
+and assembles each network's result from the entries they store;
+:meth:`PhotonicSystem.evaluate_network` is the same walk as objects,
+for direct callers, and the contract suite holds the two bit-identical.
 
 Reference candidates are analyzed once per *geometry*
 (:attr:`PhotonicSystem.geometry`: the system type, the architecture's
 nodes and every config field but the energy-only ``clock_ghz`` and
 ``scenario``) and priced per configuration.  A memo handed in through
 the ``store`` holds the counts: :func:`~repro.engine.executor.run_jobs`
-makes one per call for the systems it builds in-process, and a pool
-worker one per batch, into which the planner packs each geometry's
+makes one per call for the tasks it runs in-process, and a pool worker
+one per batch, into which the planner packs each geometry's
 configurations together.  No memo outlives its run or batch.
 
 Architecture and energy-table builds are memoized per (builder, config)

@@ -402,48 +402,44 @@ class TestExecutor:
         assert entries
         assert all(component != "DRAM" for component, _ in entries)
 
-    def test_strip_dram_round_trips_every_field(self, small_network):
-        """``strip_dram`` must only touch the energy breakdown: every
-        other ``LayerEvaluation`` field — including ones added after this
-        test was written — survives byte-for-byte."""
-        from repro.engine import strip_dram
-        from repro.model.results import LayerEvaluation, NetworkEvaluation
-
-        evaluation = run_job(make_job(small_network, AlbireoConfig()))
+    def test_accelerator_only_view_round_trips_every_field(
+            self, small_network):
+        """Assembly's accelerator-only view (``include_dram=False``) may
+        only drop DRAM energy rows: every other layer-entry field —
+        including ones added after this test was written — survives
+        byte-for-byte."""
+        warm = EvaluationCache()
+        run_job(make_job(small_network, AlbireoConfig()), warm)
         # Make the optional fields non-default so silently dropping one
         # cannot hide behind its default value.
-        tweaked = tuple(
-            (dataclasses.replace(layer_eval,
-                                 occupancy_bits={"GlobalBuffer": 17.5},
-                                 compute_cycles=layer_eval.cycles + 3,
-                                 bandwidth_bound_level="DRAM"),
-             count)
-            for layer_eval, count in evaluation.layers
-        )
-        evaluation = dataclasses.replace(evaluation, layers=tweaked)
-        stripped = strip_dram(evaluation)
-
-        for net_field in dataclasses.fields(NetworkEvaluation):
-            if net_field.name == "layers":
-                continue
-            assert getattr(stripped, net_field.name) \
-                == getattr(evaluation, net_field.name), net_field.name
-        assert len(stripped.layers) == len(evaluation.layers)
-        for (before, count_b), (after, count_a) in zip(evaluation.layers,
-                                                       stripped.layers):
-            assert count_b == count_a
-            for layer_field in dataclasses.fields(LayerEvaluation):
-                if layer_field.name == "energy":
-                    continue
-                assert getattr(after, layer_field.name) \
-                    == getattr(before, layer_field.name), layer_field.name
-            kept = after.energy.entries()
-            assert kept
-            assert all(component != "DRAM" for component, _ in kept)
-            expected = {key: value
-                        for key, value in before.energy.entries().items()
-                        if key[0] != "DRAM"}
-            assert kept == expected
+        cache = EvaluationCache()
+        cache.merge({"layers": {
+            key: dict(entry, occupancy_bits={"GlobalBuffer": 17.5},
+                      compute_cycles=entry["cycles"] + 3,
+                      bandwidth_bound_level="DRAM")
+            for key, entry in warm.snapshot()["layers"].items()}})
+        full = network_evaluation_to_dict(
+            run_job(make_job(small_network, AlbireoConfig()), cache))
+        view = network_evaluation_to_dict(run_job(
+            make_job(small_network, AlbireoConfig(), include_dram=False),
+            cache))
+        assert cache.planner.phase1_tasks == 0  # both read the entries
+        assert {key: value for key, value in view.items()
+                if key != "layers"} \
+            == {key: value for key, value in full.items()
+                if key != "layers"}
+        assert len(view["layers"]) == len(full["layers"])
+        for (after, count_a), (before, count_b) in zip(view["layers"],
+                                                       full["layers"]):
+            assert count_a == count_b
+            assert after["occupancy_bits"] == {"GlobalBuffer": 17.5}
+            assert {key: value for key, value in after.items()
+                    if key != "energy"} \
+                == {key: value for key, value in before.items()
+                    if key != "energy"}
+            assert after["energy"]
+            assert after["energy"] == [row for row in before["energy"]
+                                       if row[0] != "DRAM"]
 
 
 class TestPlanner:
@@ -649,15 +645,19 @@ class TestShapeKeyedLayerEntries:
     layer, so sharing an entry never leaks another layer's tags."""
 
     def test_shared_entries_are_stored_once(self):
-        """Serial runs read same-shape layers from one stored entry."""
+        """In-process runs compute each shape once and read same-shape
+        layers from its one stored entry, each under its own name."""
         network = _repeated_geometry_network()
         cache = EvaluationCache()
-        run_jobs([make_job(network, config)
-                  for config in _small_configs(2)], cache=cache)
+        results = run_jobs([make_job(network, config)
+                            for config in _small_configs(2)], cache=cache)
         # 2 shapes x 2 configs; conv1..conv3 read conv0's entry.
         assert cache.size("layers") == 4
-        assert cache.stats["layers"].hits == 6
-        assert cache.stats["layers"].misses == 4
+        assert cache.stats["layers"].misses == 4  # each computed once
+        names = [entry.layer.name for entry in network.entries]
+        for evaluation in results:
+            assert [layer_eval.layer.name
+                    for layer_eval, _count in evaluation.layers] == names
 
     def test_each_layer_keeps_its_own_name_and_kind(self):
         from repro.workloads import ConvLayer
@@ -717,6 +717,16 @@ class _FailingSystem(AlbireoSystem):
         raise ValueError("injected failure")
 
 
+class _TaskDroppingSystem(AlbireoSystem):
+    """Plans no sub-tasks, so assembly finds its entries missing."""
+
+    name = "dropping"
+    config_type = _FailingConfig
+
+    def enumerate_sub_tasks(self, *args, **kwargs):
+        return []
+
+
 @dataclasses.dataclass(frozen=True)
 class _ListConfig(AlbireoConfig):
     """An Albireo config holding a list, so it cannot be hashed (module
@@ -761,6 +771,12 @@ def failing_system():
     yield from _registered(_FailingSystem, "test-only fault-injection system")
 
 
+@pytest.fixture
+def dropping_system():
+    yield from _registered(_TaskDroppingSystem,
+                           "test-only system whose seams drop its tasks")
+
+
 @pytest.mark.skipif(sys.platform == "win32",
                     reason="fault injection relies on fork inheritance")
 class TestFailurePaths:
@@ -780,6 +796,20 @@ class TestFailurePaths:
     def test_serial_error_propagates(self, small_network, failing_system):
         with pytest.raises(ValueError, match="injected failure"):
             run_jobs(self._failing_jobs(small_network), workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unplanned_entry_names_the_job_and_key(self, small_network,
+                                                   dropping_system,
+                                                   workers):
+        """Assembly never evaluates behind the planner's back: an entry
+        the seams did not plan is an error naming the job and the key."""
+        from repro.exceptions import SpecError
+
+        jobs = [make_job(small_network, _FailingConfig(), system="dropping",
+                         label=f"dropped{i}") for i in range(2)]
+        with pytest.raises(SpecError, match=r"dropped0: layer entry \S+ "
+                                            r"was planned but never"):
+            run_jobs(jobs, workers=workers)
 
     def test_planner_phase_failure_leaves_disk_image_valid(
             self, small_network, failing_system, tmp_path):
@@ -914,6 +944,29 @@ class TestOnRecordSeam:
         for index, key, outcome in calls:
             assert outcome is results[index]
             assert key == self._jobs()[index].key
+
+    def test_serial_record_streams_before_the_next_job_runs(
+            self, monkeypatch):
+        """In-process, each job is assembled as soon as its own tasks
+        ran: the first record streams before the second configuration's
+        layers are evaluated (what keeps a study's first record early)."""
+        from repro.systems.base import PhotonicSystem
+
+        evaluated = []
+        evaluate_layer = PhotonicSystem.evaluate_layer
+
+        def counting(system, *args, **kwargs):
+            evaluated.append(system.config)
+            return evaluate_layer(system, *args, **kwargs)
+
+        monkeypatch.setattr(PhotonicSystem, "evaluate_layer", counting)
+        jobs = self._jobs()[:2]
+        at_first = []
+        run_jobs(jobs, on_record=lambda index, job, outcome:
+                 at_first or at_first.append(list(evaluated)))
+        assert at_first[0]
+        assert set(at_first[0]) == {jobs[0].config}
+        assert len(evaluated) == 2 * len(at_first[0])
 
     def test_cache_hits_still_fire(self, tmp_path):
         cache = EvaluationCache(str(tmp_path))

@@ -39,11 +39,17 @@ def _study():
             .grid(global_buffer_kib=[512, 1024]))
 
 
-#: Sub-task-level fault: fires inside pool workers (parallel paths).
+#: Sub-task-level fault: fires wherever the task runs, in-process or in
+#: a pool worker.
 RAISE_ALBIREO_CONV1 = [{"match": "albireo:conv1:layer",
                         "action": "raise", "attempt": -1}]
 
-#: Job-level fault: fires on every execution path (serial included).
+#: Sub-task-level hang, cut short by the ``task_timeout`` watchdog.
+SLEEP_ALBIREO_CONV1 = [{"match": "albireo:conv1:layer",
+                        "action": "sleep", "seconds": 30.0,
+                        "attempt": -1}]
+
+#: Job-level fault: fires at assembly, on every execution path.
 RAISE_ALBIREO_JOB = [{"match": "albireo:*:job",
                       "action": "raise", "attempt": -1}]
 
@@ -189,6 +195,53 @@ class TestSkipPolicy:
             assert not record.quarantined
         # skip mode never quarantines
         assert cache.resilience.quarantines == 0
+
+    @pytest.mark.parametrize("plan, policy", [
+        (RAISE_ALBIREO_CONV1, FailurePolicy(on_error="skip")),
+        (SLEEP_ALBIREO_CONV1, FailurePolicy(on_error="skip",
+                                            task_timeout=0.5)),
+    ], ids=["raise", "timeout"])
+    def test_sub_task_rules_fail_the_same_points_on_every_path(
+            self, plan, policy):
+        """A sub-task rule (and the per-task watchdog) applies wherever
+        the task runs: in-process and pooled runs fail the same points
+        with the same records."""
+        started = time.perf_counter()
+        serial, pooled = [
+            _study().run(workers=workers, cache=EvaluationCache(),
+                         failure_policy=policy, inject=plan)
+            for workers in (1, 2)]
+        assert time.perf_counter() - started < 25.0  # sleeps cut short
+        failures = serial.failures
+        assert len(failures) == 2
+        assert {record.tags["system"] for record in failures} \
+            == {"albireo"}
+        expected = ("TaskTimeoutError" if policy.task_timeout
+                    else "InjectedFault")
+        assert {record.error for record in failures} == {expected}
+        assert serial.to_records() == pooled.to_records()
+
+    def test_failed_task_is_not_rerun_for_a_later_job(self, monkeypatch):
+        """In-process, a task that failed for one job is not run again
+        for a later job that needs it: that job fails through the first
+        failure, as it does pooled."""
+        from repro.engine import make_job
+        from repro.systems import AlbireoConfig
+        from repro.workloads import tiny_cnn
+
+        fired = []
+        fire = FaultSpec.fire
+        monkeypatch.setattr(FaultSpec, "fire",
+                            lambda spec: fired.append(spec) or fire(spec))
+        network = tiny_cnn()
+        jobs = [make_job(network, AlbireoConfig(), include_dram=flag)
+                for flag in (True, False)]
+        results = run_jobs(jobs,
+                           failure_policy=FailurePolicy(on_error="skip"),
+                           inject=RAISE_ALBIREO_CONV1)
+        assert len(fired) == 1
+        assert [result.error for result in results] \
+            == ["InjectedFault", "InjectedFault"]
 
     def test_ok_results_match_clean_run(self):
         clean = _study().run()

@@ -207,7 +207,8 @@ class TestEngineTracing:
         parallel_names = tracer.trace().span_names()
         assert serial.to_records() == parallel.to_records()
         # The compute-path spans appear in both timelines; dispatch
-        # machinery differs by design (serial has no pool/planner).
+        # machinery differs by design (in-process runs plan job by job
+        # and dispatch no batches).
         compute = {"layer.evaluate", "refmap.candidates", "system.build",
                    "run_jobs"}
         assert compute <= serial_names

@@ -11,8 +11,9 @@ registering, with no new test code:
   accounting;
 * the engine cache round-trips (warm second run is a pure hit with a
   bit-identical result);
-* parallel execution matches serial bit-for-bit — through both the
-  whole-job path and the planner's two-phase path;
+* in-process and pooled runs match the store-less object path
+  (``evaluate_network``) bit for bit, with or without DRAM and fusion,
+  and plan the same tasks;
 * the duck-typed ``store`` seam memoizes mapper searches and layer
   evaluations;
 * the sub-task seams agree with the evaluation path: enumerated tasks
@@ -196,21 +197,43 @@ class TestEngineIntegration:
         assert [network_evaluation_to_dict(e) for e in serial] \
             == [network_evaluation_to_dict(e) for e in parallel]
 
-    def test_serial_equals_planned_parallel(self, entry):
-        """The two-phase scheduler path is bit-identical to serial, both
-        with and without a cache, and actually plans (no fallback)."""
+    @pytest.mark.parametrize("include_dram", (True, False),
+                             ids=("dram", "no-dram"))
+    @pytest.mark.parametrize("fused", (False, True), ids=("plain", "fused"))
+    def test_serial_equals_planned_parallel(self, entry, fused,
+                                            include_dram):
+        """In-process and pooled runs, with and without a cache, match
+        the store-less object path bit for bit, and both plan alike."""
+        network = tiny_cnn()
         configs = list(entry.default_sweep())[:3]
-        jobs = [make_job(tiny_cnn(), config) for config in configs]
-        serial = run_jobs(jobs, workers=1)
-        cache = EvaluationCache()
-        planned = run_jobs(jobs, workers=2, cache=cache)
-        assert cache.planner.planned > 0
-        assert cache.planner.phase1_tasks > 0
-        assert [network_evaluation_to_dict(e) for e in serial] \
-            == [network_evaluation_to_dict(e) for e in planned]
-        cacheless = run_jobs(jobs, workers=2)
-        assert [network_evaluation_to_dict(e) for e in serial] \
-            == [network_evaluation_to_dict(e) for e in cacheless]
+        jobs = [make_job(network, config, fused=fused,
+                         include_dram=include_dram) for config in configs]
+        reference = []
+        for config in configs:
+            spec = network_evaluation_to_dict(
+                entry.system_type(config).evaluate_network(network,
+                                                           fused=fused))
+            if not include_dram:
+                for layer, _count in spec["layers"]:
+                    layer["energy"] = [row for row in layer["energy"]
+                                       if row[0] != "DRAM"]
+            reference.append(spec)
+        caches = {"serial": EvaluationCache(), "planned": EvaluationCache()}
+        runs = {
+            "serial": run_jobs(jobs, workers=1, cache=caches["serial"]),
+            "planned": run_jobs(jobs, workers=2, cache=caches["planned"]),
+            "serial cacheless": run_jobs(jobs, workers=1),
+            "planned cacheless": run_jobs(jobs, workers=2),
+        }
+        for path, results in runs.items():
+            assert [network_evaluation_to_dict(e) for e in results] \
+                == reference, path
+        serial, planned = (caches[path].planner.to_dict()
+                           for path in ("serial", "planned"))
+        assert planned["phase1_tasks"] > 0
+        assert serial["batches"] == 0 < planned["batches"]
+        del serial["batches"], planned["batches"]
+        assert serial == planned
 
     def test_planner_warm_cache_replays_without_tasks(self, entry, tmp_path):
         """A warmed cache replays the planned sweep as pure hits: the
