@@ -13,7 +13,8 @@ import time
 
 from conftest import publish
 
-from repro.engine import EvaluationCache, config_sweep_jobs, run_jobs
+from repro.api import config_study
+from repro.engine import EvaluationCache, run_jobs
 from repro.report import format_table
 from repro.systems import AlbireoConfig
 from repro.workloads import tiny_cnn
@@ -21,7 +22,7 @@ from repro.workloads import tiny_cnn
 from dataclasses import replace
 
 
-def _sweep_jobs(use_mapper=True):
+def _study_jobs(use_mapper=True):
     network = tiny_cnn()
     configs = [
         replace(AlbireoConfig(), clusters=clusters, output_reuse=output_reuse,
@@ -30,12 +31,12 @@ def _sweep_jobs(use_mapper=True):
         for output_reuse in (3, 9)
         for star_ports in (9, 27)
     ]
-    return config_sweep_jobs(network, configs, use_mapper=use_mapper)
+    return config_study(network, configs, use_mapper=use_mapper).compile()
 
 
 def test_cached_vs_cold_sweep(tmp_path):
     """Second run against the same cache: >90% hits, lower wall time."""
-    jobs = _sweep_jobs(use_mapper=True)
+    jobs = _study_jobs(use_mapper=True)
 
     cold_cache = EvaluationCache(str(tmp_path))
     start = time.perf_counter()
@@ -66,7 +67,7 @@ def test_cached_vs_cold_sweep(tmp_path):
 
 def test_parallel_vs_serial_sweep():
     """workers=4 returns identical numbers; report both wall times."""
-    jobs = _sweep_jobs(use_mapper=False)
+    jobs = _study_jobs(use_mapper=False)
 
     start = time.perf_counter()
     serial = run_jobs(jobs, workers=1)

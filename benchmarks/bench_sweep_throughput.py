@@ -106,11 +106,17 @@ def _conftest():
 
 
 def _fresh_jobs(network):
-    from repro.engine import default_grid_jobs
+    """Every registered system's default sweep grid (the ``repro sweep
+    --system <name>`` grids) over ``network``, as one job list."""
+    from repro.api import config_study
+    from repro.systems import system_entries
 
     # Jobs memoize identity hashes; rebuild per run so every mode pays
     # identical (cold) costs.
-    return default_grid_jobs(network)
+    return config_study(network, [
+        config for entry in system_entries().values()
+        if entry.default_sweep is not None
+        for config in entry.default_sweep()]).compile()
 
 
 def _timed_run(network, reference, **run_kwargs):
@@ -158,21 +164,21 @@ def synthetic_network(entries: int = SCALING_ENTRIES):
             for index in range(entries)))
 
 
-def synthetic_grid_jobs(network, count: int):
+def synthetic_config_jobs(network, count: int):
     """``count`` distinct Albireo configurations over ``network`` — a
     pure config sweep (every configuration is a separate system key, so
     nothing dedups *across* configs; a pool can only win by running
     the configurations' tasks in parallel)."""
     from dataclasses import replace
 
-    from repro.engine import config_sweep_jobs
+    from repro.api import config_study
     from repro.systems import AlbireoConfig
 
     configs = [replace(AlbireoConfig(),
                        clusters=(4, 8, 16, 32)[index % 4],
                        output_reuse=1 + index // 4)
                for index in range(count)]
-    return config_sweep_jobs(network, configs)
+    return config_study(network, configs).compile()
 
 
 @contextlib.contextmanager
@@ -228,7 +234,7 @@ def _scaling_point(network, count: int, repeats: int) -> dict:
     reference = None
     for mode, workers in (("serial", 1), ("planner4", WORKERS)):
         for _ in range(repeats):
-            jobs = synthetic_grid_jobs(network, count)
+            jobs = synthetic_config_jobs(network, count)
             cache = EvaluationCache()
             gc.collect()
             with _counting_layer_decodes() as calls:
@@ -274,9 +280,9 @@ def _scaling_curve(sizes) -> dict:
     network = synthetic_network()
     # Untimed warmups: pay module imports and code-object warmup before
     # the first timed sample, once per strategy, on a tiny grid.
-    warmup = synthetic_grid_jobs(network, 2)
+    warmup = synthetic_config_jobs(network, 2)
     run_jobs(warmup, workers=1, cache=EvaluationCache())
-    run_jobs(synthetic_grid_jobs(network, 2), workers=WORKERS,
+    run_jobs(synthetic_config_jobs(network, 2), workers=WORKERS,
              cache=EvaluationCache())
     points = []
     for count in sizes:
@@ -446,8 +452,8 @@ def _traced_breakdown(network, reference) -> dict:
 
 
 def run_benchmark(repeats: int = REPEATS) -> dict:
+    from repro.api import memory_study, reuse_study
     from repro.energy import AGGRESSIVE, CONSERVATIVE
-    from repro.engine import memory_sweep_jobs, reuse_sweep_jobs
     from repro.systems import AlbireoConfig
     from repro.workloads import resnet18
 
@@ -546,11 +552,11 @@ def run_benchmark(repeats: int = REPEATS) -> dict:
         "scaling": scaling,
         "cache_scaling": _cache_scaling(),
         "grids": {
-            "fig4_memory": _plan_only_stats(memory_sweep_jobs(
+            "fig4_memory": _plan_only_stats(memory_study(
                 network, AlbireoConfig(),
-                scenarios=(CONSERVATIVE, AGGRESSIVE))),
-            "fig5_reuse": _plan_only_stats(reuse_sweep_jobs(
-                network, AlbireoConfig())),
+                scenarios=(CONSERVATIVE, AGGRESSIVE)).compile()),
+            "fig5_reuse": _plan_only_stats(reuse_study(
+                network, AlbireoConfig()).compile()),
         },
     }
     return report

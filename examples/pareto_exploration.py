@@ -23,8 +23,8 @@ Run:  python examples/pareto_exploration.py
 
 from dataclasses import replace
 
-from repro import AGGRESSIVE, AlbireoConfig, resnet18
-from repro.engine import EvaluationCache, make_job, pareto_frontier, run_jobs
+from repro import AGGRESSIVE, AlbireoConfig, pareto_frontier, resnet18
+from repro.engine import EvaluationCache, make_job, run_jobs
 from repro.report import format_table
 
 

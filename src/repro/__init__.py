@@ -41,8 +41,8 @@ Layer cake (each importable on its own):
 * :mod:`repro.model` — the full-system evaluator (energy breakdowns,
   throughput, batching, fusion).
 * :mod:`repro.systems` — the pluggable :class:`PhotonicSystem` framework,
-  its registry, the three modeled accelerators (Albireo, WDM crossbar,
-  WDM delay-buffer), and design-space exploration drivers.
+  its registry, and the three modeled accelerators (Albireo, WDM
+  crossbar, WDM delay-buffer).
 * :mod:`repro.engine` — the parallel sweep engine: declarative evaluation
   jobs, a persistent mapping/evaluation cache, and a serial/multiprocess
   batch executor.
@@ -50,7 +50,8 @@ Layer cake (each importable on its own):
   facade over everything below (and the ``repro run spec.json`` CLI).
 * :mod:`repro.obs` — tracing and metrics: hierarchical spans over the
   engine hot path, worker-safe collection, Chrome-trace export.
-* :mod:`repro.experiments` — the paper's four evaluation experiments.
+* :mod:`repro.experiments` — the paper's evaluation experiments, each a
+  :class:`Study` run plus a renderer over its :class:`ResultSet`.
 """
 
 from repro.arch import (
@@ -109,7 +110,6 @@ from repro.engine import (
     EvaluationCache,
     EvaluationJob,
     make_job,
-    pareto_frontier,
     run_job,
     run_jobs,
 )
@@ -127,8 +127,6 @@ from repro.systems import (
     albireo_best_case_layer,
     create_system,
     register_system,
-    sweep_memory_options,
-    sweep_reuse_factors,
     system_entries,
     system_names,
 )
@@ -138,6 +136,7 @@ from repro.api import (
     Record,
     ResultSet,
     Study,
+    pareto_frontier,
 )
 from repro.obs import Trace, Tracer, tracing
 from repro.workloads import (
@@ -244,8 +243,6 @@ __all__ = [
     "run_job",
     "run_jobs",
     "scenario_by_name",
-    "sweep_memory_options",
-    "sweep_reuse_factors",
     "tiny_cnn",
     "tracing",
     "vgg16",

@@ -15,7 +15,7 @@ execute it through the parallel/cached sweep engine with
     print(results.report(mark_pareto=True))
     best = results.best("energy_per_mac_pj")
 
-The figure experiments, the ``repro.systems.dse`` drivers, and the CLI's
+The figure experiments (:mod:`repro.experiments`) and the CLI's
 ``sweep``/``compare``/``run`` commands are all thin shells over this
 module; :mod:`repro.api.studies` holds the prebuilt lattices they use.
 """
@@ -26,8 +26,10 @@ from repro.api.results import (
     FailedRecord,
     Record,
     ResultSet,
+    pareto_frontier,
 )
 from repro.api.studies import (
+    best_case_study,
     comparison_study,
     config_study,
     memory_study,
@@ -47,8 +49,10 @@ __all__ = [
     "Study",
     "StudyPoint",
     "WorkerPool",
+    "best_case_study",
     "comparison_study",
     "config_study",
     "memory_study",
+    "pareto_frontier",
     "reuse_study",
 ]

@@ -8,6 +8,8 @@ holds an ordered list of records and offers the relational verbs every
 sweep front-end used to reimplement ad hoc — ``filter``, ``group_by``,
 ``pareto``, ``top_k`` — plus serialization (``to_records`` /
 ``to_json`` / ``to_csv``) and ASCII-table rendering (``report``).
+:func:`pareto_frontier`, the sort-based frontier behind ``pareto``,
+works on any sequence of points.
 
 Records built by a study keep the full :class:`NetworkEvaluation` (and
 the evaluated config) for deep inspection; records rebuilt from
@@ -31,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -47,7 +50,6 @@ from typing import (
     Union,
 )
 
-from repro.engine.sweeps import pareto_frontier
 from repro.exceptions import SpecError
 from repro.model.results import NetworkEvaluation
 from repro.report.ascii import format_table
@@ -190,6 +192,83 @@ class FailedRecord(Record):
         row.setdefault("attempts", self.attempts)
         row.setdefault("quarantined", self.quarantined)
         return row
+
+
+def pareto_frontier(points: Iterable[Any],
+                    objectives: Callable[[Any], Sequence[float]]) -> List[Any]:
+    """Return the Pareto-optimal subset of ``points``, in input order.
+
+    ``objectives`` maps each point to a tuple of costs (all minimized).
+    A point survives if no other point is at least as good on every
+    objective and strictly better on one; duplicate cost tuples on the
+    frontier all survive (neither dominates the other).
+
+    Two objectives run in O(n log n) via a sort-and-sweep; more
+    objectives fall back to a lexicographically pruned pairwise check.
+
+    >>> pareto_frontier([(1, 5), (2, 2), (3, 3)], lambda p: p)
+    [(1, 5), (2, 2)]
+    """
+    points = list(points)
+    costs = [tuple(objectives(point)) for point in points]
+    if not points:
+        return []
+    width = len(costs[0])
+    if any(len(cost) != width for cost in costs):
+        raise ValueError("objectives must return a fixed-length tuple")
+    if width == 2:
+        keep = _pareto_indices_2d(costs)
+    else:
+        keep = _pareto_indices_general(costs)
+    return [points[index] for index in sorted(keep)]
+
+
+def _pareto_indices_2d(costs: List[Tuple[float, ...]]) -> List[int]:
+    """Sort by (x, y), sweep keeping strictly improving y.
+
+    Within an x-group only the minimal-y points can survive (a same-x,
+    smaller-y point dominates); across groups a point survives iff its y
+    strictly beats every smaller-x point's best y.  Equal (x, y)
+    duplicates of a surviving point all survive.
+    """
+    order = sorted(range(len(costs)), key=lambda index: costs[index])
+    keep: List[int] = []
+    best_y = math.inf
+    group_start = 0
+    while group_start < len(order):
+        group_end = group_start
+        x = costs[order[group_start]][0]
+        while group_end < len(order) and costs[order[group_end]][0] == x:
+            group_end += 1
+        group = order[group_start:group_end]
+        min_y = costs[group[0]][1]  # y-sorted within the group
+        if min_y < best_y:
+            keep.extend(index for index in group
+                        if costs[index][1] == min_y)
+            best_y = min_y
+        group_start = group_end
+    return keep
+
+
+def _pareto_indices_general(costs: List[Tuple[float, ...]]) -> List[int]:
+    """Pairwise check, pruned: a dominator always sorts lexicographically
+    no later than its victim, so each point only scans its lex-prefix."""
+    order = sorted(range(len(costs)), key=lambda index: costs[index])
+    keep: List[int] = []
+    frontier_costs: List[Tuple[float, ...]] = []
+    for index in order:
+        cost = costs[index]
+        dominated = False
+        for other in frontier_costs:
+            if other == cost:
+                continue  # equal tuples never dominate
+            if all(o <= c for o, c in zip(other, cost)):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(index)
+            frontier_costs.append(cost)
+    return keep
 
 
 #: ``filter`` predicate signature.

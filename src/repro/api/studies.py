@@ -1,21 +1,54 @@
 """Prebuilt studies for the paper's explorations.
 
-Each builder returns an un-run :class:`~repro.api.study.Study` whose
-compiled job list is identical — same configs, same order, same options —
-to the hand-rolled sweeps it replaces
-(:mod:`repro.engine.sweeps`/:mod:`repro.systems.dse`), so the figure
-experiments rewired through them produce byte-identical output.  Callers
-pick the execution knobs at :meth:`~repro.api.study.Study.run` time.
+Each builder returns an un-run :class:`~repro.api.study.Study`; the
+figure experiments (:mod:`repro.experiments`) run them and read the
+returned :class:`~repro.api.results.ResultSet`.  Callers pick the
+execution knobs at :meth:`~repro.api.study.Study.run` time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from repro.api.study import Study, StudyPoint
-from repro.engine.sweeps import next_power_of_two_kib
+from repro.systems.albireo import albireo_best_case_layer
 from repro.workloads.network import Network
+
+
+def next_power_of_two_kib(bits: float) -> int:
+    """Smallest power-of-two KiB capacity holding ``bits``.
+
+    Uses ceiling division: a footprint just above a KiB boundary rounds
+    *up*, so an auto-sized fused buffer is never smaller than the
+    resident tensors it must hold.
+
+    >>> next_power_of_two_kib(8192)
+    1
+    >>> next_power_of_two_kib(8193)
+    2
+    >>> next_power_of_two_kib(3 * 8192)
+    4
+    """
+    kib = max(1, math.ceil(bits / 8192))
+    power = 1
+    while power < kib:
+        power *= 2
+    return power
+
+
+def best_case_study(config: Any, scenarios: Sequence[Any]) -> Study:
+    """Fig. 2's best-case Albireo layer as a one-layer network, under
+    each scaling scenario and the default options (the lattice of the
+    Fig. 2 validation, the sensitivity analysis and the calibration
+    round trip).  The points differ only in scenario, so a run analyzes
+    the layer once and prices it per scenario."""
+    layer = albireo_best_case_layer(config)
+    return (Study("best-case")
+            .configs(config)
+            .networks(Network.from_layers(layer.name, [layer]))
+            .scenarios(*scenarios))
 
 
 def memory_study(

@@ -42,6 +42,7 @@ coordinate its evaluation ignored.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import (
@@ -68,7 +69,6 @@ from repro.engine.executor import (
 )
 from repro.engine.pool import WorkerPool
 from repro.engine.jobs import EvaluationJob, make_job
-from repro.engine.sweeps import parameter_grid
 from repro.exceptions import SpecError
 from repro.workloads.models import network_by_name
 from repro.workloads.network import Network
@@ -500,6 +500,17 @@ class Study:
                 f"{len(self._networks)} networks, "
                 f"{len(self._scenarios) or 1} scenarios, "
                 f"{len(self._grid) or 1} grid points)")
+
+
+def parameter_grid(**axes: Iterable[Any]) -> List[Dict[str, Any]]:
+    """Cartesian product of named axes, in deterministic row-major order.
+
+    >>> parameter_grid(a=(1, 2), b=("x",))
+    [{'a': 1, 'b': 'x'}, {'a': 2, 'b': 'x'}]
+    """
+    names = list(axes)
+    combos = itertools.product(*(list(axes[name]) for name in names))
+    return [dict(zip(names, values)) for values in combos]
 
 
 def _as_bool(name: str, value: Any) -> bool:

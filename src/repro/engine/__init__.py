@@ -1,25 +1,25 @@
 """Parallel sweep engine with a persistent mapping/evaluation cache.
 
 The engine separates *what* to evaluate from *how*: declarative
-:class:`~repro.engine.jobs.EvaluationJob` specs are generated by sweep
-builders, executed in-process or over a ``multiprocessing`` pool by
-:func:`~repro.engine.executor.run_jobs`, and memoized — whole-job
+:class:`~repro.engine.jobs.EvaluationJob` specs, compiled by a
+:class:`~repro.api.Study` (or made one by one with
+:func:`~repro.engine.jobs.make_job`), are executed in-process or over a
+process pool by :func:`~repro.engine.executor.run_jobs`, and memoized —
+whole-job
 results, mapper searches, and layer evaluations — in an
 :class:`~repro.engine.cache.EvaluationCache` keyed by content hashes and
 persisted through a sharded, content-addressed directory store
 (:class:`~repro.engine.store.ShardedStore`) with O(dirty) delta flushes,
 multi-process-safe per-shard locking, and optional LRU eviction.
 
-Quickstart::
+Quickstart (a :class:`repro.api.Study` compiles the job list)::
 
-    from repro import AlbireoConfig, resnet18
-    from repro.engine import EvaluationCache, parameter_grid, grid_jobs, \\
-        run_jobs
+    from repro import AlbireoConfig, Study
+    from repro.engine import EvaluationCache, run_jobs
 
     cache = EvaluationCache("sweep-cache")
-    jobs = grid_jobs(resnet18(), AlbireoConfig(),
-                     parameter_grid(clusters=(8, 16, 32),
-                                    output_reuse=(3, 9)))
+    jobs = (Study().configs(AlbireoConfig()).networks("resnet18")
+            .grid(clusters=(8, 16, 32), output_reuse=(3, 9)).compile())
     results = run_jobs(jobs, workers=4, cache=cache)
     print(cache.describe_stats())
 
@@ -41,7 +41,6 @@ Modules:
 * :mod:`~repro.engine.pool` — persistent warm worker pool + slim wire codec,
   worker supervision/respawn.
 * :mod:`~repro.engine.faults` — deterministic fault injection + watchdog.
-* :mod:`~repro.engine.sweeps` — grid builders and the Pareto frontier.
 * :mod:`~repro.engine.codec` — JSON codecs for jobs and results.
 """
 
@@ -73,16 +72,6 @@ from repro.engine.jobs import EvaluationJob, job_system_key, make_job
 from repro.engine.planner import SweepPlan, TaskChunk, build_plan
 from repro.engine.pool import PoolStats, WorkerPool
 from repro.engine.store import ShardedStore, StoreStats, atomic_write_json
-from repro.engine.sweeps import (
-    config_sweep_jobs,
-    default_grid_jobs,
-    grid_jobs,
-    memory_sweep_jobs,
-    next_power_of_two_kib,
-    parameter_grid,
-    pareto_frontier,
-    reuse_sweep_jobs,
-)
 
 __all__ = [
     "CacheStats",
@@ -104,24 +93,16 @@ __all__ = [
     "WorkerPool",
     "atomic_write_json",
     "build_plan",
-    "config_sweep_jobs",
-    "default_grid_jobs",
     "job_system_key",
     "config_to_dict",
     "content_hash",
-    "grid_jobs",
     "layer_evaluation_from_dict",
     "layer_evaluation_to_dict",
     "make_job",
-    "memory_sweep_jobs",
     "network_evaluation_from_dict",
     "network_evaluation_to_dict",
     "network_from_dict",
     "network_to_dict",
-    "next_power_of_two_kib",
-    "parameter_grid",
-    "pareto_frontier",
-    "reuse_sweep_jobs",
     "run_job",
     "run_jobs",
 ]

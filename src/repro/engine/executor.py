@@ -1,9 +1,9 @@
 """Batch job execution: one pipeline, in-process or pooled, cache-aware.
 
-:func:`run_jobs` is the engine's front door.  It takes a job list (from
-the sweep builders or hand-assembled), consults the cache for finished
-results and returns evaluations in input order.  Every miss goes one
-way: lookup → plan → run tasks → assemble.
+:func:`run_jobs` is the engine's front door.  It takes a job list (a
+compiled :class:`~repro.api.Study` or hand-made jobs), consults the
+cache for finished results and returns evaluations in input order.
+Every miss goes one way: lookup → plan → run tasks → assemble.
 
 * **Plan.**  The planner (:mod:`repro.engine.planner`) expands each job
   into its mapper-search and layer-evaluation sub-tasks, deduplicated
@@ -55,7 +55,7 @@ from repro import obs
 from repro.engine import faults
 from repro.engine.cache import EvaluationCache, store_entry_key
 from repro.engine.codec import layer_to_dict, network_evaluation_from_dict
-from repro.engine.jobs import EvaluationJob, job_system_key, system_registry
+from repro.engine.jobs import EvaluationJob, job_system_key
 from repro.engine.planner import Planner, SweepPlan, build_plan
 from repro.engine.pool import WorkerPool, build_system, run_tasks
 from repro.exceptions import SpecError
@@ -366,14 +366,16 @@ def _execute_round(
                   if guard is not None else None)
     recipes: Dict[Tuple, List[Tuple]] = {}
 
-    def finish(index: int, failed: Dict[str, Tuple[str, str]]) -> None:
+    def finish(index: int, systems: Dict[str, Any],
+               failed: Dict[str, Tuple[str, str]]) -> None:
         job = jobs[index]
         try:
             # Job-level injected faults (``...:job`` keys) fire here, on
             # every execution path.
             if fault_plan is not None:
                 fault_plan.check(faults.job_task_key(job), attempt)
-            result_dict = _assemble_job(job, cache, recipes, failed)
+            result_dict = _assemble_job(job, systems[job_system_key(job)],
+                                        cache, recipes, failed)
             cache.put_result(job.key, result_dict)
             results[index] = network_evaluation_from_dict(result_dict)
         except _SubTaskFailed as error:
@@ -399,14 +401,14 @@ def _execute_round(
         # nothing is shipped twice.
         with obs.span("run_jobs.assemble", jobs=len(misses)):
             for index in misses:
-                finish(index, failed)
+                finish(index, sweep_plan.systems, failed)
         return
 
     # In-process: one planner for the round, so a task planned (or
     # failed) for an earlier job is neither run nor retried for a later
-    # one, and one system per configuration, sharing the run's memo.
+    # one, and one task runner per configuration, sharing the run's memo.
     planner = Planner(cache)
-    systems: Dict[str, Any] = {}
+    runners: Dict[str, Any] = {}
     failed = {}
     task_guard = None if guard is None else (guard[0], capture, fault_plan)
     with obs.span("run_jobs.serial", jobs=len(misses)):
@@ -415,13 +417,13 @@ def _execute_round(
                 try:
                     chunk = planner.expand(jobs[index])
                     if chunk.tasks:
-                        system = systems.get(chunk.system_key)
-                        if system is None:
-                            system = systems[chunk.system_key] = \
+                        runner = runners.get(chunk.system_key)
+                        if runner is None:
+                            runner = runners[chunk.system_key] = \
                                 build_system(chunk.system, chunk.config,
                                              chunk.system_key, cache,
                                              counts_memo)
-                        run_tasks(system, chunk.system, chunk.system_key,
+                        run_tasks(runner, chunk.system, chunk.system_key,
                                   chunk.tasks, task_guard, attempt, failed)
                 except Exception as error:
                     if not capture:
@@ -430,7 +432,7 @@ def _execute_round(
                                              str(error))
                     continue
                 with obs.span("run_jobs.assemble", jobs=1):
-                    finish(index, failed)
+                    finish(index, planner.systems, failed)
         finally:
             planner.report()
 
@@ -457,11 +459,16 @@ def _assembly_recipe(system: Any, job: EvaluationJob) -> List[Tuple]:
 
 def _assemble_job(
     job: EvaluationJob,
+    system: Any,
     cache: EvaluationCache,
     recipes: Dict[Tuple, List[Tuple]],
     failed_entries: Dict[str, Tuple[str, str]],
 ) -> Dict[str, Any]:
     """Build a job's result dict straight from warm layer entries.
+
+    ``system`` is the planner's (store-less) system for the job's
+    configuration: assembly reads only its store keys, its fusion check
+    and its architecture.
 
     The dict form of what :meth:`~repro.systems.base.PhotonicSystem.
     evaluate_network` would return: the cached per-layer dicts are the
@@ -483,7 +490,6 @@ def _assemble_job(
     """
     from repro.model.accelerator import NetworkOptions
 
-    system = system_registry()[job.system].system_type(job.config)
     if job.fused:
         # Same validation (and failure) the evaluation path applies.
         system.model._check_fusion_capacity(job.network,

@@ -3,8 +3,8 @@
 An :class:`EvaluationJob` names everything one evaluation depends on — the
 modeled system, its configuration, the network, and the evaluation options
 — without performing any work.  Jobs are frozen (hashable, picklable)
-values, so they can be generated in bulk by the sweep builders
-(:mod:`repro.engine.sweeps`), shipped to worker processes by the executor
+values, so they can be generated in bulk (by
+:meth:`repro.api.Study.compile`), shipped to worker processes by the executor
 (:mod:`repro.engine.executor`), and keyed into the persistent cache
 (:mod:`repro.engine.cache`).
 

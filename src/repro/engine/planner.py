@@ -89,12 +89,16 @@ class SweepPlan:
     was itself oversized, so configuration affinity survives packing,
     and the chunks of one geometry share a batch unless together they
     are oversized.
+
+    ``systems`` maps each planned job's ``system_key`` to the store-less
+    system the planner built for it, which assembly reuses.
     """
 
     batches: List[List[TaskChunk]]
     planned: int = 0
     deduplicated: int = 0
     cache_hits: int = 0
+    systems: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def chunks(self) -> List[TaskChunk]:
@@ -118,7 +122,8 @@ class Planner:
     def __init__(self, cache: EvaluationCache) -> None:
         self.cache = cache
         self.planned = self.deduplicated = self.cache_hits = self.tasks = 0
-        #: system_key -> a store-less system (keys, geometry, expansion).
+        #: system_key -> a store-less system (keys, geometry, expansion,
+        #: and assembly in :mod:`repro.engine.executor`).
         self.systems: Dict[str, Any] = {}
         self._registry = system_registry()
         self._seen: set = set()  # entry keys already planned or cached
@@ -214,7 +219,8 @@ def build_plan(jobs: Sequence[EvaluationJob],
                 workers)
         plan = SweepPlan(batches=batches, planned=planner.planned,
                          deduplicated=planner.deduplicated,
-                         cache_hits=planner.cache_hits)
+                         cache_hits=planner.cache_hits,
+                         systems=planner.systems)
         planner.report(len(batches))
         for counter in ("planned", "deduplicated", "cache_hits",
                         "phase1_tasks"):

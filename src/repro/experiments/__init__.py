@@ -1,7 +1,10 @@
 """The paper's evaluation experiments, one module per figure.
 
-Each module exposes ``run()`` returning a result object with the modeled
-numbers, the paper's reported numbers (from
+Each module's ``run()`` builds a :class:`repro.api.Study` (the lattices
+live in :mod:`repro.api.studies`; fig2, ``sensitivity`` and
+``calibration`` share the best-case one), runs it, and returns a result
+object with the modeled numbers read from its
+:class:`~repro.api.ResultSet`, the paper's reported numbers (from
 :mod:`repro.experiments.reported`), comparison metrics, and a ``table()``
 rendering.  The benchmark suite calls these; so can users::
 

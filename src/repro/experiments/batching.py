@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.api.study import Study
 from repro.energy.scaling import AGGRESSIVE, ScalingScenario
 from repro.report.ascii import bar, format_table
-from repro.systems.albireo import AlbireoConfig, AlbireoSystem, \
-    SYSTEM_BUCKETS
+from repro.systems.albireo import AlbireoConfig
 from repro.workloads.models import resnet18
 
 
@@ -74,11 +74,11 @@ def run(
     config: Optional[AlbireoConfig] = None,
 ) -> BatchingResult:
     config = (config or AlbireoConfig()).with_scenario(scenario)
-    system = AlbireoSystem(config)
+    results = (Study("batching").configs(config).networks(resnet18())
+               .batches(*batch_sizes).run())
     points: List[BatchPoint] = []
-    for batch in batch_sizes:
-        network = resnet18(batch=batch)
-        evaluation = system.evaluate_network(network)
+    for batch, record in zip(batch_sizes, results):
+        evaluation = record.evaluation
         weight_dram = sum(
             value for (component, dataspace), value
             in evaluation.total_energy.entries().items()

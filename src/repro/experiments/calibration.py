@@ -24,12 +24,15 @@ bucket                composition
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Mapping
 
 from repro.energy.photonic import link_loss_db
 from repro.energy.scaling import ScalingScenario
 from repro.exceptions import CalibrationError
+from repro.experiments.fig2_validation import (
+    best_case_evaluations,
+    fig2_buckets,
+)
 from repro.systems.albireo import AlbireoConfig
 from repro.units import db_to_linear
 
@@ -88,20 +91,8 @@ def derive_scenario(
 def modeled_buckets(scenario: ScalingScenario,
                     config: AlbireoConfig) -> Dict[str, float]:
     """Run the full pipeline and return the Fig. 2 buckets per MAC."""
-    from repro.systems.albireo import (
-        AlbireoSystem,
-        FIG2_BUCKETS,
-        albireo_best_case_layer,
-    )
-
-    system = AlbireoSystem(dataclasses.replace(config, scenario=scenario))
-    layer = albireo_best_case_layer(system.config)
-    evaluation = system.evaluate_layer(layer)
-    grouped = evaluation.energy.per_mac(
-        evaluation.real_macs).grouped(FIG2_BUCKETS)
-    return {bucket: grouped.get(bucket, 0.0)
-            for bucket in ("MRR", "MZM", "Laser", "AO/AE", "DE/AE",
-                           "AE/DE", "Cache")}
+    evaluation, = best_case_evaluations(config, (scenario,))
+    return fig2_buckets(evaluation)
 
 
 def calibration_error(

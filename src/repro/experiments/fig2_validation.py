@@ -4,22 +4,24 @@ Models the best-case (fully utilized, unstrided) Albireo workload under the
 three device-scaling scenarios and compares the per-MAC component breakdown
 {MRR, MZM, Laser, AO/AE, DE/AE, AE/DE, Cache} against the reported values.
 The paper's headline: average overall energy error of 0.4%.
+
+The three scenarios are one :func:`repro.api.studies.best_case_study`
+run, which analyzes the layer once and prices it per scenario; the
+sensitivity analysis and the calibration round trip read the same
+lattice through :func:`best_case_evaluations`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.studies import best_case_study
 from repro.energy.scaling import SCENARIOS, ScalingScenario
 from repro.experiments.reported import FIG2_CLAIMS, FIG2_REPORTED
+from repro.model.results import LayerEvaluation
 from repro.report.ascii import format_table, stacked_bar_chart
-from repro.systems.albireo import (
-    AlbireoConfig,
-    AlbireoSystem,
-    FIG2_BUCKETS,
-    albireo_best_case_layer,
-)
+from repro.systems.albireo import AlbireoConfig, FIG2_BUCKETS
 
 #: The accelerator-side buckets the figure shows (DRAM is excluded: the
 #: figure validates the accelerator + laser, DRAM enters in Fig. 4).
@@ -95,23 +97,30 @@ class Fig2Result:
         )
 
 
+def best_case_evaluations(
+        config: AlbireoConfig,
+        scenarios: Sequence[ScalingScenario]) -> List[LayerEvaluation]:
+    """The best-case layer's evaluation under each scenario, in order."""
+    return [record.evaluation.layers[0][0]
+            for record in best_case_study(config, scenarios).run()]
+
+
+def fig2_buckets(evaluation: LayerEvaluation) -> Dict[str, float]:
+    """The figure's per-MAC buckets of one evaluation (DRAM and the
+    integrator's "Other" residue fall in no bucket)."""
+    grouped = evaluation.energy.per_mac(
+        evaluation.real_macs).grouped(FIG2_BUCKETS)
+    return {bucket: grouped.get(bucket, 0.0) for bucket in BUCKET_ORDER}
+
+
 def run(scenarios: Optional[Tuple[ScalingScenario, ...]] = None) -> Fig2Result:
     """Run the validation for all (or the given) scaling scenarios."""
     scenarios = scenarios or SCENARIOS
-    validations = []
-    for scenario in scenarios:
-        system = AlbireoSystem(AlbireoConfig(scenario=scenario))
-        layer = albireo_best_case_layer(system.config)
-        evaluation = system.evaluate_layer(layer)
-        grouped = evaluation.energy.per_mac(
-            evaluation.real_macs).grouped(FIG2_BUCKETS)
-        modeled = {bucket: grouped.get(bucket, 0.0)
-                   for bucket in BUCKET_ORDER}
-        # Fold rounding residue (integrator "Other") into no bucket; it is
-        # reported separately by the full breakdown if needed.
-        validations.append(ScenarioValidation(
+    evaluations = best_case_evaluations(AlbireoConfig(), scenarios)
+    return Fig2Result(validations=tuple(
+        ScenarioValidation(
             scenario=scenario.name,
-            modeled=modeled,
+            modeled=fig2_buckets(evaluation),
             reported=dict(FIG2_REPORTED[scenario.name]),
-        ))
-    return Fig2Result(validations=tuple(validations))
+        )
+        for scenario, evaluation in zip(scenarios, evaluations)))

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.api.study import Study
 from repro.experiments.reported import FIG3_CLAIMS, FIG3_REPORTED
 from repro.model.results import NetworkEvaluation
 from repro.report.ascii import bar, format_table
-from repro.systems.albireo import AlbireoConfig, AlbireoSystem
+from repro.systems.albireo import AlbireoConfig
 from repro.workloads.models import alexnet, vgg16
 from repro.workloads.network import Network
 
@@ -106,20 +107,23 @@ def run(
     config: Optional[AlbireoConfig] = None,
     use_mapper: bool = False,
 ) -> Fig3Result:
-    """Evaluate throughput for the paper's two networks (or custom ones)."""
+    """Evaluate throughput for the paper's two networks (or custom ones).
+
+    One study over every network, so same-shape layers (VGG16's and
+    AlexNet's fc layers) are evaluated, or searched, once."""
     config = config or AlbireoConfig()
-    system = AlbireoSystem(config)
     networks = networks or (vgg16(), alexnet())
+    results = (Study("throughput").configs(config).networks(*networks)
+               .options(use_mapper=use_mapper).run())
     throughputs = []
-    for network in networks:
-        evaluation = system.evaluate_network(network, use_mapper=use_mapper)
+    for network, record in zip(networks, results):
         reported = FIG3_REPORTED.get(network.name, {})
         throughputs.append(NetworkThroughput(
             network=network.name,
             ideal=float(reported.get("ideal", config.peak_macs_per_cycle)),
             reported=float(reported.get("reported",
                                         config.peak_macs_per_cycle)),
-            modeled=evaluation.macs_per_cycle,
-            evaluation=evaluation,
+            modeled=record.evaluation.macs_per_cycle,
+            evaluation=record.evaluation,
         ))
     return Fig3Result(throughputs=tuple(throughputs))

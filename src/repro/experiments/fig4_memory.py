@@ -14,14 +14,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.results import ResultSet
 from repro.api.studies import memory_study
 from repro.energy.scaling import AGGRESSIVE, CONSERVATIVE, ScalingScenario
 from repro.experiments.reported import FIG4_CLAIMS
+from repro.model.results import NetworkEvaluation
 from repro.report.ascii import format_table, stacked_bar_chart
 from repro.systems.albireo import AlbireoConfig, SYSTEM_BUCKETS
-from repro.systems.dse import MemoryExplorationPoint, memory_points
 from repro.workloads.models import resnet18
 from repro.workloads.network import Network
+
+
+@dataclass(frozen=True)
+class MemoryExplorationPoint:
+    """One (scaling, batching, fusion) point of the Fig. 4 exploration."""
+
+    scenario: ScalingScenario
+    batch: int
+    fused: bool
+    evaluation: NetworkEvaluation
+
+    @property
+    def label(self) -> str:
+        batching = "Batched" if self.batch > 1 else "Non-Batched"
+        fusion = "Fused" if self.fused else "Not Fused"
+        return f"{self.scenario.name}/{fusion}/{batching}"
+
+    @property
+    def energy_per_mac_pj(self) -> float:
+        return self.evaluation.energy_per_mac_pj
+
+
+def memory_points(results: ResultSet) -> List[MemoryExplorationPoint]:
+    """Figure-point view of a :func:`repro.api.studies.memory_study`
+    run (the scenario object is read back off each record's config)."""
+    return [
+        MemoryExplorationPoint(
+            scenario=record.config.scenario,
+            batch=record.tags["batch"],
+            fused=record.tags["fused"],
+            evaluation=record.evaluation,
+        )
+        for record in results
+    ]
 
 
 @dataclass(frozen=True)

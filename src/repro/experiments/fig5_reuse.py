@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.results import ResultSet
 from repro.api.studies import reuse_study
 from repro.energy.scaling import AGGRESSIVE, ScalingScenario
 from repro.experiments.reported import (
@@ -20,9 +21,9 @@ from repro.experiments.reported import (
     FIG5_OUTPUT_REUSE,
     FIG5_VARIANTS,
 )
+from repro.model.results import NetworkEvaluation
 from repro.report.ascii import format_table, stacked_bar_chart
 from repro.systems.albireo import AlbireoConfig, SYSTEM_BUCKETS
-from repro.systems.dse import ReuseExplorationPoint, reuse_points
 from repro.workloads.models import resnet18
 from repro.workloads.network import Network
 
@@ -32,6 +33,35 @@ CONVERTER_BUCKETS = (
     "Input DE/AE, AE/AO",
     "Output AO/AE, AE/DE",
 )
+
+
+@dataclass(frozen=True)
+class ReuseExplorationPoint:
+    """One (OR, IR, variant) point of the Fig. 5 reuse exploration."""
+
+    output_reuse: int
+    input_reuse: int
+    weight_lanes: int
+    variant: str
+    evaluation: NetworkEvaluation
+
+    @property
+    def energy_per_mac_pj(self) -> float:
+        return self.evaluation.energy_per_mac_pj
+
+
+def reuse_points(results: ResultSet) -> List[ReuseExplorationPoint]:
+    """Figure-point view of a :func:`repro.api.studies.reuse_study` run."""
+    return [
+        ReuseExplorationPoint(
+            output_reuse=record.tags["output_reuse"],
+            input_reuse=record.tags["input_reuse"],
+            weight_lanes=record.tags["weight_lanes"],
+            variant=record.tags["variant"],
+            evaluation=record.evaluation,
+        )
+        for record in results
+    ]
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@
   crossbar (ADEPT/PCNNA-class).
 * :mod:`~repro.systems.wdm_delay` — a WDM delay-buffer CNN accelerator
   (Xu et al., 2019 class) building its convolution window in time.
-* :mod:`~repro.systems.dse` — design-space exploration drivers sweeping
-  Albireo's reuse factors and memory-system options (the paper's
-  Figs. 4-5), executed through the parallel/cached sweep engine
-  (:mod:`repro.engine`).
+
+Design-space explorations over these systems are
+:class:`repro.api.Study` lattices (the paper's Figs. 4-5 are
+:func:`repro.api.studies.memory_study` and
+:func:`repro.api.studies.reuse_study`).
 """
 
 from repro.systems.albireo import (
@@ -37,14 +38,6 @@ from repro.systems.crossbar import (
     build_crossbar_architecture,
     build_crossbar_energy_table,
     crossbar_reference_mapping,
-)
-from repro.systems.dse import (
-    MemoryExplorationPoint,
-    ReuseExplorationPoint,
-    pareto_frontier,
-    sweep_configurations,
-    sweep_memory_options,
-    sweep_reuse_factors,
 )
 from repro.systems.registry import (
     SystemEntry,
@@ -89,15 +82,9 @@ __all__ = [
     "AlbireoConfig",
     "AlbireoSystem",
     "FIG2_BUCKETS",
-    "MemoryExplorationPoint",
-    "ReuseExplorationPoint",
     "SYSTEM_BUCKETS",
     "albireo_best_case_layer",
     "albireo_reference_mapping",
-    "pareto_frontier",
-    "sweep_configurations",
     "build_albireo_architecture",
     "build_albireo_energy_table",
-    "sweep_memory_options",
-    "sweep_reuse_factors",
 ]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.api import Record, ResultSet
+from repro.api import Record, ResultSet, pareto_frontier
 from repro.exceptions import SpecError
 
 
@@ -200,3 +200,48 @@ class TestSerialization:
         result_set = make_set(self.ROWS)
         assert isinstance(result_set[:1], ResultSet)
         assert len(result_set[:1]) == 1
+
+
+class TestParetoFrontier:
+    def test_matches_brute_force_2d(self):
+        import random
+
+        rng = random.Random(7)
+        points = [(rng.randrange(20), rng.randrange(20)) for _ in range(200)]
+        assert pareto_frontier(points, lambda p: p) \
+            == _brute_force(points, lambda p: p)
+
+    def test_matches_brute_force_3d(self):
+        import random
+
+        rng = random.Random(11)
+        points = [tuple(rng.randrange(8) for _ in range(3))
+                  for _ in range(120)]
+        assert pareto_frontier(points, lambda p: p) \
+            == _brute_force(points, lambda p: p)
+
+    def test_duplicates_all_survive(self):
+        points = [(1, 1), (2, 0), (1, 1), (0, 2)]
+        frontier = pareto_frontier(points, lambda p: p)
+        assert frontier == points
+
+    def test_input_order_preserved(self):
+        points = [(3, 1), (1, 3), (2, 2)]
+        assert pareto_frontier(points, lambda p: p) == points
+
+    def test_mismatched_objective_width_rejected(self):
+        with pytest.raises(ValueError):
+            pareto_frontier([(1, 2), (1,)], lambda p: p)
+
+
+def _brute_force(points, objectives):
+    costs = [tuple(objectives(p)) for p in points]
+    keep = []
+    for i, point in enumerate(points):
+        dominated = any(
+            all(o <= c for o, c in zip(other, costs[i]))
+            and any(o < c for o, c in zip(other, costs[i]))
+            for j, other in enumerate(costs) if j != i)
+        if not dominated:
+            keep.append(point)
+    return keep

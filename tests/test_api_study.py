@@ -1,5 +1,5 @@
 """The Study facade: composition, spec validation, engine execution, and
-equivalence with the sweeps it replaces."""
+the prebuilt lattices."""
 
 import dataclasses
 import json
@@ -7,12 +7,11 @@ import warnings
 
 import pytest
 
-from repro.api import Study, comparison_study, config_study, \
-    memory_study, reuse_study
-from repro.energy.scaling import AGGRESSIVE, CONSERVATIVE
+from repro.api import Study, comparison_study
+from repro.energy.scaling import CONSERVATIVE
 from repro.engine import network_evaluation_to_dict
 from repro.exceptions import SpecError, WorkloadError
-from repro.systems import AlbireoConfig, CrossbarConfig
+from repro.systems import CrossbarConfig
 from repro.workloads import tiny_cnn
 
 
@@ -106,6 +105,13 @@ class TestStudyComposition:
         # Crossbar ignores `clusters`: collapses to the 2 tiles points.
         assert [job.config.tiles for job in crossbar] == [2, 4]
         assert all("clusters" not in job.tags_dict for job in crossbar)
+
+    def test_parameter_grid_order(self):
+        from repro.api.study import parameter_grid
+
+        grid = parameter_grid(a=(1, 2), b=("x", "y"))
+        assert grid == [{"a": 1, "b": "x"}, {"a": 1, "b": "y"},
+                        {"a": 2, "b": "x"}, {"a": 2, "b": "y"}]
 
     def test_compile_is_pure_and_repeatable(self):
         study = Study().systems("albireo").networks("tiny")
@@ -258,56 +264,6 @@ class TestStudyExecution:
 
 
 class TestPrebuiltStudies:
-    def test_memory_study_matches_deprecated_sweep(self):
-        network = tiny_cnn()
-        config = AlbireoConfig()
-        study_results = memory_study(
-            network, config, (CONSERVATIVE,), batch_sizes=(1, 2)).run()
-        from repro.systems.dse import memory_points, sweep_memory_options
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shim_points = sweep_memory_options(
-                network, config, (CONSERVATIVE,), batch_sizes=(1, 2))
-        study_points = memory_points(study_results)
-        assert [(p.scenario.name, p.batch, p.fused) for p in study_points] \
-            == [(p.scenario.name, p.batch, p.fused) for p in shim_points]
-        for mine, theirs in zip(study_points, shim_points):
-            assert network_evaluation_to_dict(mine.evaluation) \
-                == network_evaluation_to_dict(theirs.evaluation)
-
-    def test_reuse_study_matches_deprecated_sweep(self):
-        network = tiny_cnn()
-        config = AlbireoConfig(scenario=AGGRESSIVE)
-        study_results = reuse_study(
-            network, config, output_reuse_values=(3,),
-            input_reuse_values=(9,)).run()
-        from repro.systems.dse import reuse_points, sweep_reuse_factors
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shim_points = sweep_reuse_factors(
-                network, config, output_reuse_values=(3,),
-                input_reuse_values=(9,))
-        for mine, theirs in zip(reuse_points(study_results), shim_points):
-            assert (mine.variant, mine.output_reuse, mine.input_reuse,
-                    mine.weight_lanes) \
-                == (theirs.variant, theirs.output_reuse, theirs.input_reuse,
-                    theirs.weight_lanes)
-            assert network_evaluation_to_dict(mine.evaluation) \
-                == network_evaluation_to_dict(theirs.evaluation)
-
-    def test_config_study_deprecated_shim(self):
-        network = tiny_cnn()
-        configs = [CrossbarConfig(tiles=2), CrossbarConfig(tiles=4)]
-        from repro.systems.dse import sweep_configurations
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            points = sweep_configurations(network, configs)
-        assert [config for config, _ in points] == configs
-        direct = config_study(network, configs).run()
-        for (_, evaluation), record in zip(points, direct):
-            assert network_evaluation_to_dict(evaluation) \
-                == network_evaluation_to_dict(record.evaluation)
-
     def test_comparison_study_covers_lattice(self):
         study = comparison_study((tiny_cnn(),), ("albireo", "crossbar"),
                                  CONSERVATIVE)
@@ -342,8 +298,8 @@ class TestComparisonShell:
 
 class TestExperimentsStayWarningFree:
     def test_fig4_fig5_do_not_emit_deprecation_warnings(self):
-        """The rewired experiments go through the Study facade directly —
-        only the legacy dse shims warn."""
+        """The figure experiments go through the Study facade directly
+        and emit no deprecation warnings."""
         from repro.experiments import fig4_memory, fig5_reuse
 
         with warnings.catch_warnings():

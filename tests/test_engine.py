@@ -1,5 +1,5 @@
-"""Tests for the parallel sweep engine (jobs, cache, executor, planner,
-sweeps)."""
+"""Tests for the parallel sweep engine (jobs, cache, executor, planner).
+Job lists come from :mod:`repro.api.studies` lattices."""
 
 import dataclasses
 import json
@@ -9,17 +9,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import config_study, memory_study, reuse_study
 from repro.engine import (
     EvaluationCache,
     build_plan,
-    config_sweep_jobs,
-    default_grid_jobs,
     job_system_key,
     make_job,
-    memory_sweep_jobs,
-    parameter_grid,
-    pareto_frontier,
-    reuse_sweep_jobs,
     run_job,
     run_jobs,
 )
@@ -217,7 +212,7 @@ class TestCodec:
 
 class TestCache:
     def test_round_trip_save_reload_hit(self, small_network, tmp_path):
-        jobs = config_sweep_jobs(small_network, _small_configs(2))
+        jobs = config_study(small_network, _small_configs(2)).compile()
         cache = EvaluationCache(str(tmp_path))
         cold = run_jobs(jobs, cache=cache)
         assert cache.stats["results"].hits == 0
@@ -329,7 +324,7 @@ class TestCache:
                    for n in names)
 
     def test_clean_run_skips_disk_rewrite(self, small_network, tmp_path):
-        jobs = config_sweep_jobs(small_network, _small_configs(2))
+        jobs = config_study(small_network, _small_configs(2)).compile()
         run_jobs(jobs, cache=EvaluationCache(str(tmp_path),
                                              backend="legacy"))
         image = tmp_path / "cache.json"
@@ -342,7 +337,7 @@ class TestCache:
 
     def test_clean_sharded_run_appends_no_entries(self, small_network,
                                                   tmp_path):
-        jobs = config_sweep_jobs(small_network, _small_configs(2))
+        jobs = config_study(small_network, _small_configs(2)).compile()
         run_jobs(jobs, cache=EvaluationCache(str(tmp_path)))
         store_dir = tmp_path / "store"
         counts_before = json.loads(
@@ -360,11 +355,11 @@ class TestCache:
 class TestExecutor:
     def test_parallel_equals_serial(self, small_network):
         """workers=4 must return the same ordering and identical numbers."""
-        jobs = reuse_sweep_jobs(
+        jobs = reuse_study(
             small_network, AlbireoConfig(),
             output_reuse_values=(3, 9), input_reuse_values=(9, 27),
             weight_lane_variants=(("Original", 1),),
-        )
+        ).compile()
         serial = run_jobs(jobs, workers=1)
         parallel = run_jobs(jobs, workers=4)
         assert len(serial) == len(parallel) == len(jobs)
@@ -374,7 +369,7 @@ class TestExecutor:
 
     def test_parallel_merges_worker_cache_entries(self, small_network,
                                                   tmp_path):
-        jobs = config_sweep_jobs(small_network, _small_configs(3))
+        jobs = config_study(small_network, _small_configs(3)).compile()
         cache = EvaluationCache(str(tmp_path))
         run_jobs(jobs, workers=2, cache=cache)
         assert cache.size("results") == len(jobs)
@@ -386,7 +381,7 @@ class TestExecutor:
 
     def test_order_preserved_with_cache_hits_interleaved(self,
                                                          small_network):
-        jobs = config_sweep_jobs(small_network, _small_configs(4))
+        jobs = config_study(small_network, _small_configs(4)).compile()
         cache = EvaluationCache()
         # Pre-warm only the middle jobs so hits and misses interleave.
         run_jobs(jobs[1:3], cache=cache)
@@ -459,7 +454,7 @@ class TestPlanner:
         assert cache.planner.phase1_tasks == 4
 
     def test_plan_dedups_against_warm_cache(self, small_network):
-        jobs = config_sweep_jobs(small_network, _small_configs(2))
+        jobs = config_study(small_network, _small_configs(2)).compile()
         cache = EvaluationCache()
         run_jobs(jobs, cache=cache)  # warm every layer entry serially
         cache.reset_stats()
@@ -498,17 +493,17 @@ class TestPlanner:
         from repro.workloads import resnet18
 
         network = resnet18()
-        fig4 = memory_sweep_jobs(network, AlbireoConfig(),
-                                 scenarios=(CONSERVATIVE, AGGRESSIVE))
+        fig4 = memory_study(network, AlbireoConfig(),
+                            scenarios=(CONSERVATIVE, AGGRESSIVE)).compile()
         plan4 = build_plan(fig4, EvaluationCache(), workers=4)
         assert plan4.planned == plan4.phase1_tasks == 96
-        fig5 = reuse_sweep_jobs(network, AlbireoConfig())
+        fig5 = reuse_study(network, AlbireoConfig()).compile()
         plan5 = build_plan(fig5, EvaluationCache(), workers=4)
         assert plan5.planned == plan5.phase1_tasks == 216
 
     def test_batches_preserve_config_affinity(self, small_network):
         """Every task of one system_key ships in one batch segment."""
-        jobs = config_sweep_jobs(small_network, _small_configs(4))
+        jobs = config_study(small_network, _small_configs(4)).compile()
         plan = build_plan(jobs, EvaluationCache(), workers=2)
         seen_keys = set()
         for batch in plan.batches:
@@ -551,7 +546,7 @@ class TestPlanner:
         configs = [replace(AlbireoConfig(), global_buffer_kib=kib,
                            **{field_name: value})
                    for kib in (1024, 2048) for value in values]
-        jobs = config_sweep_jobs(small_network, configs)
+        jobs = config_study(small_network, configs).compile()
         plan = build_plan(jobs, EvaluationCache(), workers=2)
         assert len(plan.batches) == 2
         for batch in plan.batches:
@@ -566,7 +561,7 @@ class TestPlanner:
         geometries than batches still feeds every worker."""
         configs = [replace(AlbireoConfig(), clock_ghz=clock)
                    for clock in (3.0, 3.1, 3.2, 3.3)]
-        plan = build_plan(config_sweep_jobs(small_network, configs),
+        plan = build_plan(config_study(small_network, configs).compile(),
                           EvaluationCache(), workers=2)
         per_config = len(plan.chunks[0])
         assert len(plan.batches) == 2
@@ -606,7 +601,7 @@ class TestPlanner:
 
     def test_reset_stats_clears_counters(self, small_network):
         cache = EvaluationCache()
-        jobs = config_sweep_jobs(small_network, _small_configs(2))
+        jobs = config_study(small_network, _small_configs(2)).compile()
         run_jobs(jobs, workers=2, cache=cache)
         assert cache.stats["layers"].lookups > 0
         assert cache.planner.planned > 0
@@ -628,16 +623,6 @@ class TestPlanner:
         assert not cache.contains("layers", "missing")
         assert cache.peek("layers", "missing") is None
         assert cache.stats["layers"].lookups == 0
-
-    def test_default_grid_jobs_covers_registered_systems(self,
-                                                         small_network):
-        from repro.systems.registry import system_names
-
-        jobs = default_grid_jobs(small_network)
-        assert {job.system for job in jobs} == set(system_names())
-        assert all(job.tag("system") == job.system for job in jobs)
-        only = default_grid_jobs(small_network, systems=("albireo",))
-        assert {job.system for job in only} == {"albireo"}
 
 
 class TestShapeKeyedLayerEntries:
@@ -699,6 +684,47 @@ class TestShapeKeyedLayerEntries:
         for path, results in paths.items():
             assert [network_evaluation_to_dict(result)
                     for result in results] == reference, path
+
+
+class TestSystemBuilds:
+    """A run builds one system per configuration for planning (which
+    assembly reuses) and, in-process, one store-backed system per
+    configuration to run its tasks; nothing is built per job."""
+
+    @staticmethod
+    def _grid_study_jobs():
+        from repro.api import Study
+
+        # 3 systems x 4 configurations x 3 networks: 36 jobs, 12 configs.
+        return (Study().systems("albireo", "crossbar", "wdm_delay")
+                .networks("resnet18", "alexnet", "lenet5")
+                .grid(clock_ghz=(4.0, 5.0), global_buffer_kib=(512, 1024))
+                .compile())
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.systems.base import PhotonicSystem
+
+        calls = []
+        init = PhotonicSystem.__init__
+
+        def counting(system, *args, **kwargs):
+            calls.append(type(system))
+            init(system, *args, **kwargs)
+
+        monkeypatch.setattr(PhotonicSystem, "__init__", counting)
+        return calls
+
+    def test_in_process_run_builds_two_per_configuration(self, builds):
+        jobs = self._grid_study_jobs()
+        assert len(jobs) == 36
+        run_jobs(jobs, cache=EvaluationCache())
+        assert len(builds) == 24
+
+    def test_pooled_run_builds_one_per_configuration_in_the_parent(
+            self, builds):
+        run_jobs(self._grid_study_jobs(), workers=2, cache=EvaluationCache())
+        assert len(builds) == 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -840,81 +866,6 @@ class TestFailurePaths:
             + self._failing_jobs(small_network, count=2)
         with pytest.raises(ValueError, match="injected failure"):
             run_jobs(batch, workers=2, cache=EvaluationCache())
-
-
-class TestSweepBuilders:
-    def test_parameter_grid_order(self):
-        grid = parameter_grid(a=(1, 2), b=("x", "y"))
-        assert grid == [{"a": 1, "b": "x"}, {"a": 1, "b": "y"},
-                        {"a": 2, "b": "x"}, {"a": 2, "b": "y"}]
-
-    def test_memory_sweep_sizes_fused_buffer(self, small_network):
-        from repro.energy import AGGRESSIVE
-
-        jobs = memory_sweep_jobs(small_network, AlbireoConfig(),
-                                 scenarios=(AGGRESSIVE,), batch_sizes=(1,))
-        by_fused = {job.tag("fused"): job for job in jobs}
-        assert set(by_fused) == {False, True}
-        assert (by_fused[True].config.global_buffer_kib
-                >= by_fused[False].config.global_buffer_kib)
-
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_reuse_jobs_match_dse_points(self, small_network):
-        """The engine path returns the same grid the legacy loop produced."""
-        from repro.systems import sweep_reuse_factors
-
-        points = sweep_reuse_factors(
-            small_network, AlbireoConfig(),
-            output_reuse_values=(3, 9), input_reuse_values=(9,),
-            weight_lane_variants=(("Original", 1),),
-        )
-        combos = [(p.output_reuse, p.input_reuse, p.variant) for p in points]
-        assert combos == [(3, 9, "Original"), (9, 9, "Original")]
-
-
-class TestParetoFrontier:
-    def test_matches_brute_force_2d(self):
-        import random
-
-        rng = random.Random(7)
-        points = [(rng.randrange(20), rng.randrange(20)) for _ in range(200)]
-        assert pareto_frontier(points, lambda p: p) \
-            == _brute_force(points, lambda p: p)
-
-    def test_matches_brute_force_3d(self):
-        import random
-
-        rng = random.Random(11)
-        points = [tuple(rng.randrange(8) for _ in range(3))
-                  for _ in range(120)]
-        assert pareto_frontier(points, lambda p: p) \
-            == _brute_force(points, lambda p: p)
-
-    def test_duplicates_all_survive(self):
-        points = [(1, 1), (2, 0), (1, 1), (0, 2)]
-        frontier = pareto_frontier(points, lambda p: p)
-        assert frontier == points
-
-    def test_input_order_preserved(self):
-        points = [(3, 1), (1, 3), (2, 2)]
-        assert pareto_frontier(points, lambda p: p) == points
-
-    def test_mismatched_objective_width_rejected(self):
-        with pytest.raises(ValueError):
-            pareto_frontier([(1, 2), (1,)], lambda p: p)
-
-
-def _brute_force(points, objectives):
-    costs = [tuple(objectives(p)) for p in points]
-    keep = []
-    for i, point in enumerate(points):
-        dominated = any(
-            all(o <= c for o, c in zip(other, costs[i]))
-            and any(o < c for o, c in zip(other, costs[i]))
-            for j, other in enumerate(costs) if j != i)
-        if not dominated:
-            keep.append(point)
-    return keep
 
 
 class TestOnRecordSeam:

@@ -4,12 +4,8 @@ static power accounting, Pareto DSE helpers, and the MobileNetV1 workload.
 
 import pytest
 
-from repro.systems import (
-    AlbireoConfig,
-    AlbireoSystem,
-    pareto_frontier,
-    sweep_configurations,
-)
+from repro.api import config_study, pareto_frontier
+from repro.systems import AlbireoConfig, AlbireoSystem
 from repro.systems.albireo import (
     OPTICAL_IO_DRAM_CORE_PJ_PER_BIT,
     OPTICAL_LINK_RX_PJ_PER_BIT,
@@ -136,18 +132,17 @@ class TestParetoFrontier:
         points = [(1, 1), (1, 1)]
         assert len(pareto_frontier(points, lambda p: p)) == 2
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_configuration_sweep_pareto(self):
         network = tiny_cnn()
         configs = [AlbireoConfig(clusters=c) for c in (4, 8, 16)]
-        results = sweep_configurations(network, configs)
+        results = config_study(network, configs).run()
         frontier = pareto_frontier(
             results,
-            lambda item: (item[1].energy_pj, item[1].total_cycles))
+            lambda record: (record["energy_pj"], record["total_cycles"]))
         assert 1 <= len(frontier) <= len(results)
         # More clusters always cuts cycles here, so the largest config is
         # on the frontier.
-        assert any(config.clusters == 16 for config, _ in frontier)
+        assert any(record.config.clusters == 16 for record in frontier)
 
 
 class TestMobileNet:

@@ -19,13 +19,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import Study
 from repro.engine import (
     EvaluationCache,
     WorkerPool,
     build_plan,
-    config_sweep_jobs,
-    grid_jobs,
-    parameter_grid,
     run_jobs,
 )
 from repro.engine.codec import network_evaluation_to_dict
@@ -45,14 +43,13 @@ def small_network():
 
 
 def _grid_a(network):
-    return grid_jobs(network, AlbireoConfig(),
-                     parameter_grid(clusters=(4, 8)))
+    return (Study().configs(AlbireoConfig()).networks(network)
+            .grid(clusters=(4, 8)).compile())
 
 
 def _grid_b(network):
-    return grid_jobs(network, AlbireoConfig(),
-                     parameter_grid(clusters=(4, 8, 16),
-                                    output_reuse=(3, 9)))
+    return (Study().configs(AlbireoConfig()).networks(network)
+            .grid(clusters=(4, 8, 16), output_reuse=(3, 9)).compile())
 
 
 def _dicts(evaluations):
@@ -108,8 +105,6 @@ class TestPoolReuse:
         mapper searches: each chunk carries the cached entries its layer
         tasks consume (5 LeNet-5 searches x 2 configurations), so no
         search runs twice, and the records equal serial execution."""
-        from repro.api import Study
-
         def study(fused):
             return (Study().systems("crossbar").networks("lenet5")
                     .grid(global_buffer_kib=[1024, 2048])
@@ -140,8 +135,6 @@ class TestPoolReuse:
         spawns all its workers, so later, wider dispatches use them.
         ``wide`` has four geometries (the planner packs clock twins of
         one geometry together), so it dispatches four batches."""
-        from repro.api import Study
-
         narrow = Study().systems("albireo").networks("lenet5", "tiny")
         wide = (Study().systems("albireo").networks("tiny")
                 .grid(global_buffer_kib=[256, 512, 1024, 2048]))
@@ -312,8 +305,6 @@ class TestWireCodec:
 
 class TestStudyIntegration:
     def test_study_run_accepts_pool(self, small_network):
-        from repro.api import Study
-
         def build():
             return (Study()
                     .systems("albireo")
