@@ -42,10 +42,9 @@ checks that neither path decodes a layer entry while it runs and that
 both plan the same tasks.
 
 A **cache-scaling** mode times persistence as the on-disk store grows
-1x / 4x / 16x while the per-run dirty delta stays fixed: the legacy
-single-image save/load scale with the total, while the sharded store's
-delta flush and lazy warm-start open must stay flat (O(dirty) — the
-asserted contract of ``repro.engine.store``).
+1x / 4x / 16x while the per-run dirty delta stays fixed: the sharded
+store's delta flush and lazy warm-start open must stay flat (O(dirty) —
+the asserted contract of ``repro.engine.store``).
 
 Writes ``BENCH_sweep_throughput.json`` (with provenance metadata) at the
 repository root and prints a summary table.  Runnable directly
@@ -311,10 +310,10 @@ def _cache_entry(index: int) -> dict:
             "pad": "p" * 240}
 
 
-def _seed_cache(directory: str, entries: int, backend: str) -> None:
+def _seed_cache(directory: str, entries: int) -> None:
     from repro.engine import EvaluationCache
 
-    cache = EvaluationCache(directory, backend=backend)
+    cache = EvaluationCache(directory)
     for index in range(entries):
         cache.put("results", _cache_key(("warm", index)),
                   _cache_entry(index))
@@ -325,9 +324,6 @@ def _cache_scaling_point(factor: int) -> dict:
     """Persistence timings at ``factor x CACHE_BASE_ENTRIES`` warm
     entries, fixed ``CACHE_DIRTY`` delta.
 
-    * ``legacy_save_s`` — full-image rewrite after the delta (the old
-      backend: O(total)).
-    * ``legacy_load_s`` — eager whole-image parse at open (O(total)).
     * ``sharded_flush_s`` — delta append of the same dirty set
       (O(dirty): must stay flat as the factor grows).
     * ``sharded_open_s`` — warm-start open: index only, shards lazy
@@ -347,37 +343,31 @@ def _cache_scaling_point(factor: int) -> dict:
         return [(_cache_key(("dirty", counter[0], i)), _cache_entry(i))
                 for i in range(CACHE_DIRTY)]
 
-    for backend in ("legacy", "sharded"):
-        directory = tempfile.mkdtemp(prefix=f"bench-cache-{backend}-")
-        try:
-            _seed_cache(directory, entries, backend)
-            opens, saves = [], []
-            for _ in range(CACHE_REPEATS):
-                gc.collect()
-                start = time.perf_counter()
-                cache = EvaluationCache(directory, backend=backend)
-                opens.append(time.perf_counter() - start)
-                for key, value in dirty_batch():
-                    cache.put("results", key, value)
-                gc.collect()
-                start = time.perf_counter()
-                cache.save()
-                saves.append(time.perf_counter() - start)
-            if backend == "legacy":
-                point["legacy_load_s"] = round(min(opens), 4)
-                point["legacy_save_s"] = round(min(saves), 4)
-            else:
-                point["sharded_open_s"] = round(min(opens), 4)
-                point["sharded_flush_s"] = round(min(saves), 4)
-        finally:
-            shutil.rmtree(directory, ignore_errors=True)
+    directory = tempfile.mkdtemp(prefix="bench-cache-sharded-")
+    try:
+        _seed_cache(directory, entries)
+        opens, saves = [], []
+        for _ in range(CACHE_REPEATS):
+            gc.collect()
+            start = time.perf_counter()
+            cache = EvaluationCache(directory)
+            opens.append(time.perf_counter() - start)
+            for key, value in dirty_batch():
+                cache.put("results", key, value)
+            gc.collect()
+            start = time.perf_counter()
+            cache.save()
+            saves.append(time.perf_counter() - start)
+        point["sharded_open_s"] = round(min(opens), 4)
+        point["sharded_flush_s"] = round(min(saves), 4)
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
     return point
 
 
 def _cache_scaling() -> dict:
-    """Save/load wall time as the store grows 1x -> 4x -> 16x with a
-    fixed dirty delta: the legacy image scales with the total, the
-    sharded store's open and flush must stay flat."""
+    """Open/flush wall time as the store grows 1x -> 4x -> 16x with a
+    fixed dirty delta: both must stay flat."""
     points = [_cache_scaling_point(factor)
               for factor in CACHE_SCALING_FACTORS]
     return {
@@ -608,9 +598,7 @@ def _print_report(report: dict) -> None:
     print(f"cache scaling ({cache_scaling['dirty_entries']}-entry dirty "
           f"delta):")
     for point in cache_scaling["points"]:
-        print(f"  {point['entries']:>5} warm entries: legacy save "
-              f"{point['legacy_save_s'] * 1e3:.1f}ms / load "
-              f"{point['legacy_load_s'] * 1e3:.1f}ms | sharded flush "
+        print(f"  {point['entries']:>5} warm entries: sharded flush "
               f"{point['sharded_flush_s'] * 1e3:.1f}ms / open "
               f"{point['sharded_open_s'] * 1e3:.1f}ms")
 
@@ -644,7 +632,7 @@ def test_sweep_throughput_benchmark():
     # grid.  Asserted on the warm-pool planner mode — the configuration
     # this PR ships (a persistent pool amortizes spawn/fork overhead;
     # the caches are still cold every run).  On a single-core runner
-    # the win is purely algorithmic (slim dispatch, and assembly that
+    # the win is purely algorithmic (one message per batch, and assembly that
     # embeds warm entries where serial decodes them), so the margin is
     # a few percent; the warm pool is what keeps it strictly positive.
     timings = report["timings"]
@@ -675,16 +663,14 @@ def test_sweep_throughput_benchmark():
     assert breakdown["coverage"] >= 0.9
     # Parent-side dispatch overhead (pickle/submit/decode, excluding
     # the blocked-on-workers wait) must stay under 30% of the traced
-    # run: the wire is slim enough that the parent is not the engine's
-    # bottleneck.
+    # run: the parent is not the engine's bottleneck.
     assert (breakdown["dispatch_self_s"]
             < 0.3 * breakdown["traced_run_s"]), breakdown
     # Cache persistence must be O(delta), not O(total): with a fixed
     # dirty set, the sharded flush and the warm-start open at 16x the
     # store size must stay within noise of the 1x cost (generous
     # floors absorb scheduler jitter and a stray slow fsync on shared
-    # CI disks), while the legacy image's save/load grow with the
-    # total by construction.
+    # CI disks).
     points = {point["factor"]: point
               for point in report["cache_scaling"]["points"]}
     one, sixteen = points[1], points[16]

@@ -17,7 +17,7 @@ analyses, each with its own ``--help``::
     repro submit       # send specs to a daemon, stream results back
     repro arch         # print a modeled system's hierarchy
     repro area         # per-component area summary
-    repro cache        # inspect / gc / migrate a persistent cache dir
+    repro cache        # inspect / gc a persistent cache dir
 
 The parser is built generically from the library's registries: ``--system``
 choices come from :mod:`repro.systems.registry`, ``--network`` choices
@@ -35,11 +35,10 @@ tooling.
 x networks x scenarios x grid overrides x batching x fusion — through
 :meth:`repro.api.Study.from_json`, so one-off explorations need no code.
 
-``repro cache {stats,gc,migrate} DIR`` maintains the sharded store
-behind ``--cache DIR``: exact per-namespace/per-shard inventory
-(``stats``), LRU eviction + log compaction under ``--max-entries`` /
-``--max-bytes`` budgets (``gc``), and explicit legacy ``cache.json``
-migration (``migrate`` — also happens automatically on first use).
+``repro cache {stats,gc} DIR`` maintains the sharded store behind
+``--cache DIR``: exact per-namespace/per-shard inventory (``stats``)
+and LRU eviction + log compaction under ``--max-entries`` /
+``--max-bytes`` budgets (``gc``).
 
 Observability: sweep-shaped commands accept ``--trace PATH`` (write a
 Chrome/Perfetto span timeline of the run, worker lanes included) and
@@ -608,20 +607,17 @@ def _cmd_arch(args) -> None:
 
 def _cmd_cache(args) -> None:
     """Maintain a persistent cache directory (the sharded store behind
-    ``--cache DIR``): exact inventory, LRU gc + compaction, migration."""
+    ``--cache DIR``): exact inventory, LRU gc + compaction."""
     import json
 
     from repro.engine.cache import NAMESPACES
     from repro.engine.store import ShardedStore
 
-    # Opening the store auto-migrates a legacy cache.json if present.
     store = ShardedStore(args.directory, NAMESPACES)
     info = {"action": args.action}
     if args.action == "gc":
         info["gc"] = store.gc(max_entries=args.max_entries,
                               max_bytes=args.max_bytes)
-    elif args.action == "migrate":
-        info["migrated_entries"] = store.stats.migrated_entries
     info.update(store.describe())
     if args.json_stdout:
         print(json.dumps(info, indent=2, sort_keys=True))
@@ -630,12 +626,6 @@ def _cmd_cache(args) -> None:
         f"cache at {info['directory']}: {info['total_entries']} entries, "
         f"{info['bytes']} bytes across {len(info['shards'])} shards"
     ]
-    if args.action == "migrate":
-        migrated = info["migrated_entries"]
-        lines.append(f"migrated {migrated} entries from cache.json"
-                     if migrated else
-                     "nothing to migrate (already sharded, or no legacy "
-                     "image)")
     if args.action == "gc":
         summary = info["gc"]
         lines.append(f"gc: evicted {summary['evicted_entries']} entries "
@@ -700,7 +690,7 @@ _COMMANDS: Sequence = (
      ("system", "scenario"), _cmd_arch),
     ("area", "per-component area summary",
      ("system", "scenario"), _cmd_area),
-    ("cache", "inspect, gc, or migrate a persistent cache directory",
+    ("cache", "inspect or gc a persistent cache directory",
      (), _cmd_cache),
 )
 
@@ -724,10 +714,9 @@ def _args_run(sub: argparse.ArgumentParser) -> None:
 
 def _args_cache(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "action", choices=("stats", "gc", "migrate"),
+        "action", choices=("stats", "gc"),
         help="stats: exact per-namespace/per-shard inventory; gc: evict "
-             "LRU entries to budget and compact the shard logs; migrate: "
-             "fold a legacy cache.json into the sharded layout",
+             "LRU entries to budget and compact the shard logs",
     )
     sub.add_argument("directory", metavar="DIR",
                      help="cache directory (as passed to --cache)")
@@ -744,7 +733,7 @@ def _args_cache(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--json", action="store_true", dest="json_stdout",
-        help="print the inventory (and gc/migration summary) as JSON",
+        help="print the inventory (and gc summary) as JSON",
     )
 
 

@@ -38,8 +38,8 @@ Modules:
 * :mod:`~repro.engine.planner` — batch expansion, dedup, task chunking.
 * :mod:`~repro.engine.executor` — the run pipeline (in-process or
   pooled), retry/quarantine failure policy.
-* :mod:`~repro.engine.pool` — persistent warm worker pool + slim wire codec,
-  worker supervision/respawn.
+* :mod:`~repro.engine.pool` — persistent warm worker pool running
+  stateless batches, worker supervision/respawn.
 * :mod:`~repro.engine.faults` — deterministic fault injection + watchdog.
 * :mod:`~repro.engine.codec` — JSON codecs for jobs and results.
 """

@@ -17,43 +17,34 @@ are valid across processes and sessions:
   message, attempt count) so a rerun skips them instead of re-failing
   — surfaced via :meth:`EvaluationCache.peek` and ``repro cache stats``.
 
-Disk persistence (``backend="sharded"``, the default for a directory
-cache) goes through :class:`repro.engine.store.ShardedStore`: entries
-shard by key prefix into append-only logs, :meth:`EvaluationCache.save`
-flushes only the entries added since the last save (O(delta), never a
-full rewrite), shards fault into memory lazily on first lookup, and
-per-shard advisory locks make one cache directory safe to share between
-concurrent sweep processes.  A directory holding only a legacy
-single-image ``cache.json`` is migrated into the sharded layout on
-first open; ``backend="legacy"`` keeps the old whole-image behavior
-(written atomically and fsync'd, so a crash never corrupts it).
-Hit/miss counts are tracked per namespace and mergeable across worker
-processes.
+A directory cache persists through :class:`repro.engine.store.ShardedStore`:
+entries shard by key prefix into append-only logs,
+:meth:`EvaluationCache.save` flushes only the entries added since the
+last save (O(delta), never a full rewrite), shards fault into memory
+lazily on first lookup, and per-shard advisory locks make one cache
+directory safe to share between concurrent sweep processes.  An entry
+is the same :mod:`repro.engine.codec` dict in memory, in a pool reply
+and on disk.  Hit/miss counts are tracked per namespace and mergeable
+across worker processes.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
-from repro import obs
 from repro.engine.codec import (
     canonical_json,
     layer_evaluation_from_dict,
     layer_evaluation_to_dict,
 )
-from repro.engine.store import Budget, ShardedStore, atomic_write_json, \
-    shard_of
+from repro.engine.store import Budget, ShardedStore, shard_of
 from repro.mapping.mapper import MapperResult
 from repro.mapping.serialize import mapping_from_dict, mapping_to_dict
 from repro.model.results import LayerEvaluation
 
 NAMESPACES: Tuple[str, ...] = ("results", "mappings", "layers", "failures")
-
-_CACHE_FORMAT_VERSION = 1
 
 
 @functools.lru_cache(maxsize=65536)
@@ -193,29 +184,22 @@ class EvaluationCache:
     """In-memory + on-disk cache for sweep-engine evaluations.
 
     ``directory=None`` gives a purely in-memory cache (still useful for
-    sharing mapper results across the jobs of one sweep).  With a
-    directory, the default ``backend="sharded"`` opens a
-    :class:`~repro.engine.store.ShardedStore`: only the compact index is
-    read up front, shards fault in lazily on first lookup, and
+    sharing mapper results across the jobs of one sweep).  A directory
+    opens a :class:`~repro.engine.store.ShardedStore`: only the compact
+    index is read up front, shards fault in lazily on first lookup, and
     :meth:`save` appends just the entries added since the last save —
     so neither warm-start nor persistence cost scales with the total
     cache size, and multiple processes can share the directory (see
-    :mod:`repro.engine.store`).  ``backend="legacy"`` restores the old
-    behavior: the full ``cache.json`` image loads eagerly on
-    construction and :meth:`save` rewrites it whole (atomically).
+    :mod:`repro.engine.store`).
 
     ``max_entries``/``max_bytes`` (int = global, dict = per-namespace)
-    arm the sharded store's LRU eviction; evicted entries recompute on
-    the next miss.
+    arm the store's LRU eviction; evicted entries recompute on the next
+    miss.
     """
 
     def __init__(self, directory: Optional[str] = None,
-                 backend: str = "sharded",
                  max_entries: Budget = None,
                  max_bytes: Budget = None) -> None:
-        if backend not in ("sharded", "auto", "legacy"):
-            raise ValueError(f"unknown cache backend {backend!r}; "
-                             f"options: 'sharded', 'legacy'")
         self.directory = directory
         self._data: Dict[str, Dict[str, Any]] = {ns: {} for ns in NAMESPACES}
         self._added: Dict[str, Dict[str, Any]] = {ns: {} for ns in NAMESPACES}
@@ -231,16 +215,13 @@ class EvaluationCache:
         #: lazily faulted warm entry never counts as a fresh search.
         self._disk_mappings: Set[str] = set()
         if directory is not None:
-            if backend == "legacy":
-                self._load()
-            else:
-                self._store = ShardedStore(
-                    directory, NAMESPACES,
-                    max_entries=max_entries, max_bytes=max_bytes)
+            self._store = ShardedStore(directory, NAMESPACES,
+                                       max_entries=max_entries,
+                                       max_bytes=max_bytes)
 
     @property
     def store(self) -> Optional[ShardedStore]:
-        """The sharded disk backend (``None`` for in-memory/legacy)."""
+        """The disk store (``None`` for an in-memory cache)."""
         return self._store
 
     # ------------------------------------------------------------------
@@ -311,7 +292,7 @@ class EvaluationCache:
         return entry
 
     def __len__(self) -> int:
-        """In-memory entry count (on a sharded store, only the shards
+        """In-memory entry count (with a store, only the shards
         faulted in so far — ``store.describe()`` has the disk totals)."""
         return sum(len(entries) for entries in self._data.values())
 
@@ -338,13 +319,13 @@ class EvaluationCache:
     @property
     def dirty(self) -> bool:
         """True when entries were added since the last save/pop_added —
-        a clean (100%-hit) run needn't rewrite the disk image."""
+        a clean (100%-hit) run has no entries to flush."""
         return any(self._added.values())
 
     @property
     def needs_flush(self) -> bool:
         """Whether :meth:`save` has anything to persist: added entries,
-        or (sharded store only) access touches that keep LRU recency
+        or (with a store) access touches that keep LRU recency
         honest across warm runs."""
         if self.dirty:
             return True
@@ -374,7 +355,7 @@ class EvaluationCache:
             self._data[namespace].update(values)
 
     def stats_snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Per-namespace hit/miss counters, plus (when a sharded store
+        """Per-namespace hit/miss counters, plus (when a disk store
         is live) its ``store`` counters — shard loads, flushes, lock
         waits, evictions — under the ``"store"`` key."""
         snapshot: Dict[str, Dict[str, Any]] = {
@@ -456,62 +437,23 @@ class EvaluationCache:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    @property
-    def path(self) -> Optional[str]:
-        """Where the legacy single-JSON image lives (also the migration
-        source for the sharded backend)."""
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory, "cache.json")
-
-    def _load(self) -> None:
-        path = self.path
-        if path is None or not os.path.exists(path):
-            return
-        with obs.span("cache.load", path=path) as load_span:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    image = json.load(handle)
-            except (OSError, ValueError):
-                return  # unreadable/corrupt image: start fresh, not crash
-            if not isinstance(image, dict) \
-                    or image.get("version") != _CACHE_FORMAT_VERSION:
-                return  # stale format: start fresh, not misread entries
-            for namespace in NAMESPACES:
-                self._data[namespace].update(image.get("entries", {})
-                                             .get(namespace, {}))
-            load_span.set("entries", len(self))
-
     def save(self) -> Optional[str]:
-        """Persist to disk; returns the path written (``None`` in-memory).
+        """Flush to disk; returns the store root (``None`` in-memory).
 
-        Sharded backend: flushes only the entries added since the last
-        save, plus batched access touches for LRU recency — O(delta)
-        appends, never a rewrite.  Legacy backend: atomically rewrites
-        the whole ``cache.json`` image (temp file + fsync +
-        ``os.replace``, so a crash mid-save leaves the previous image
-        intact, never a truncated one).
+        Flushes only the entries added since the last save, plus batched
+        access touches for LRU recency — O(delta) appends, never a
+        rewrite.
         """
-        if self._store is not None:
-            added = {ns: dict(values)
-                     for ns, values in self._added.items() if values}
-            touched = {ns: sorted(keys)
-                       for ns, keys in self._touched.items() if keys}
-            self._store.flush(added, touched)
-            self._added = {ns: {} for ns in NAMESPACES}
-            self._touched = {ns: set() for ns in NAMESPACES}
-            return self._store.root
-        path = self.path
-        if path is None:
+        if self._store is None:
             return None
-        with obs.span("cache.save", path=path, entries=len(self)):
-            os.makedirs(self.directory, exist_ok=True)
-            atomic_write_json(path, {
-                "version": _CACHE_FORMAT_VERSION,
-                "entries": self._data,
-            })
-            self._added = {ns: {} for ns in NAMESPACES}
-        return path
+        added = {ns: dict(values)
+                 for ns, values in self._added.items() if values}
+        touched = {ns: sorted(keys)
+                   for ns, keys in self._touched.items() if keys}
+        self._store.flush(added, touched)
+        self._added = {ns: {} for ns in NAMESPACES}
+        self._touched = {ns: set() for ns in NAMESPACES}
+        return self._store.root
 
 
 class SystemStore:
@@ -549,10 +491,8 @@ class SystemStore:
             cost=float(entry["cost"]),
             evaluated=int(entry["evaluated"]),
             valid=int(entry["valid"]),
-            # Search-efficiency counters; absent in pre-overhaul cache
-            # images, which stay loadable (counters default to 0).
-            deduplicated=int(entry.get("deduplicated", 0)),
-            pruned_early=int(entry.get("pruned_early", 0)),
+            deduplicated=int(entry["deduplicated"]),
+            pruned_early=int(entry["pruned_early"]),
         )
 
     def save_mapper_result(self, key: Iterable[Any],

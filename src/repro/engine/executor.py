@@ -57,7 +57,7 @@ from repro.engine.cache import EvaluationCache, store_entry_key
 from repro.engine.codec import layer_to_dict, network_evaluation_from_dict
 from repro.engine.jobs import EvaluationJob, job_system_key
 from repro.engine.planner import Planner, SweepPlan, build_plan
-from repro.engine.pool import WorkerPool, build_system, run_tasks
+from repro.engine.pool import WorkerPool, run_tasks
 from repro.exceptions import SpecError
 from repro.model.results import NetworkEvaluation
 
@@ -406,9 +406,8 @@ def _execute_round(
 
     # In-process: one planner for the round, so a task planned (or
     # failed) for an earlier job is neither run nor retried for a later
-    # one, and one task runner per configuration, sharing the run's memo.
-    planner = Planner(cache)
-    runners: Dict[str, Any] = {}
+    # one; its systems, one per configuration, share the run's memo.
+    planner = Planner(cache, counts_memo)
     failed = {}
     task_guard = None if guard is None else (guard[0], capture, fault_plan)
     with obs.span("run_jobs.serial", jobs=len(misses)):
@@ -417,13 +416,8 @@ def _execute_round(
                 try:
                     chunk = planner.expand(jobs[index])
                     if chunk.tasks:
-                        runner = runners.get(chunk.system_key)
-                        if runner is None:
-                            runner = runners[chunk.system_key] = \
-                                build_system(chunk.system, chunk.config,
-                                             chunk.system_key, cache,
-                                             counts_memo)
-                        run_tasks(runner, chunk.system, chunk.system_key,
+                        run_tasks(planner.systems[chunk.system_key],
+                                  chunk.system, chunk.system_key,
                                   chunk.tasks, task_guard, attempt, failed)
                 except Exception as error:
                     if not capture:
@@ -466,9 +460,9 @@ def _assemble_job(
 ) -> Dict[str, Any]:
     """Build a job's result dict straight from warm layer entries.
 
-    ``system`` is the planner's (store-less) system for the job's
-    configuration: assembly reads only its store keys, its fusion check
-    and its architecture.
+    ``system`` is the planner's system for the job's configuration:
+    assembly reads only its store keys, its fusion check and its
+    architecture.
 
     The dict form of what :meth:`~repro.systems.base.PhotonicSystem.
     evaluate_network` would return: the cached per-layer dicts are the

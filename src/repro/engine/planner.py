@@ -44,7 +44,8 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.engine.cache import EvaluationCache, store_entry_key
-from repro.engine.jobs import EvaluationJob, job_system_key, system_registry
+from repro.engine.jobs import EvaluationJob, job_system_key
+from repro.engine.pool import build_system
 
 #: Namespace a sub-task kind persists into.
 _TASK_NAMESPACE = {"mapper": "mappings", "layer": "layers"}
@@ -90,8 +91,8 @@ class SweepPlan:
     and the chunks of one geometry share a batch unless together they
     are oversized.
 
-    ``systems`` maps each planned job's ``system_key`` to the store-less
-    system the planner built for it, which assembly reuses.
+    ``systems`` maps each planned job's ``system_key`` to the system the
+    planner built for it, which assembly reuses.
     """
 
     batches: List[List[TaskChunk]]
@@ -117,15 +118,20 @@ class Planner:
     batch for the pool; an in-process run (:func:`repro.engine.executor.
     run_jobs`) expands each job when its turn comes, so both plan the
     same tasks for one job list.
+
+    Each configuration gets one system, stored in ``cache`` and sharing
+    ``counts_memo`` (the run's reference counts; see
+    :mod:`repro.systems.base`).  It serves keys, geometry and expansion
+    here, runs the configuration's tasks in-process, and assembles its
+    jobs.  The pool path's parent only plans and assembles with it.
     """
 
-    def __init__(self, cache: EvaluationCache) -> None:
+    def __init__(self, cache: EvaluationCache, counts_memo: Dict) -> None:
         self.cache = cache
+        self.counts_memo = counts_memo
         self.planned = self.deduplicated = self.cache_hits = self.tasks = 0
-        #: system_key -> a store-less system (keys, geometry, expansion,
-        #: and assembly in :mod:`repro.engine.executor`).
+        #: system_key -> the configuration's system.
         self.systems: Dict[str, Any] = {}
-        self._registry = system_registry()
         self._seen: set = set()  # entry keys already planned or cached
         # (system class, network identity, fused, use_mapper) ->
         # [(task, store key), ...].  Systems declaring their task keys
@@ -139,8 +145,9 @@ class Planner:
         system_key = job_system_key(job)
         system = self.systems.get(system_key)
         if system is None:
-            system = self.systems[system_key] = \
-                self._registry[job.system].system_type(job.config)
+            system = self.systems[system_key] = build_system(
+                job.system, job.config, system_key, self.cache,
+                self.counts_memo)
         memo_key = (type(system), id(job.network), job.fused,
                     job.use_mapper)
         expansion = self._expansions.get(memo_key)
@@ -201,7 +208,9 @@ def build_plan(jobs: Sequence[EvaluationJob],
     report them alongside the hit/miss statistics.
     """
     with obs.span("planner.build_plan", jobs=len(jobs)) as plan_span:
-        planner = Planner(cache)
+        # The parent's systems only plan and assemble: the memo stays
+        # empty, and each worker batch makes its own.
+        planner = Planner(cache, {})
         groups: Dict[str, TaskChunk] = {}
         with obs.span("planner.expand"):
             for job in jobs:

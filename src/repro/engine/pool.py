@@ -2,7 +2,7 @@
 
 :class:`WorkerPool` owns a :class:`concurrent.futures.ProcessPoolExecutor`
 that *survives across* ``run_jobs`` calls.  That changes the economics
-of the parallel sweep path in three ways:
+of the parallel sweep path in two ways:
 
 * **Warm per-worker module state.**  With the fork start method each
   worker keeps its module-level memos between dispatches — the memoized
@@ -22,16 +22,10 @@ of the parallel sweep path in three ways:
   each batch against a fresh cache seeded with them and ships back only
   what it computed.  Nothing is replicated, so switching caches between
   dispatches, or sharing one pool between several caches, needs no
-  bookkeeping at all.
-
-* **A slim wire format.**  Planner batches are re-encoded before
-  pickling: configurations and layers are interned into per-payload
-  tables referenced by index, sub-tasks travel as ``(kind, layer_index,
-  flags)`` triples, and result messages pack the homogeneous scalar
-  metrics of layer evaluations into typed :mod:`array` columns.  The
-  decoded entries are reconstructed field-for-field in the canonical
-  codec order, so cached values remain bit-identical to ones computed
-  in-process.
+  bookkeeping at all.  A payload is its chunks' ``(system, config,
+  system_key, deps, tasks)`` and a reply the batch cache's new entries,
+  both plain pickles: an entry is the same :mod:`repro.engine.codec`
+  dict in a worker, on the wire and in the parent's cache.
 
 Interrupt safety: any exception while a dispatch is in flight — a
 ``KeyboardInterrupt`` or an abandoned result iterator included — closes
@@ -55,165 +49,17 @@ import dataclasses
 import gc
 import multiprocessing
 import signal
-from array import array
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.engine import faults
 from repro.engine.cache import EvaluationCache, SystemStore, store_entry_key
 from repro.exceptions import WorkerCrashError
-from repro.workloads.layer import ConvLayer
 
 #: Per-task guard shipped inside dispatch payloads:
 #: ``(task_timeout_seconds, capture_errors, fault_plan_wire)`` — or
 #: ``None`` for the unguarded fast path (no try/except per task at all).
 _Guard = Optional[Tuple[Optional[float], bool, Optional[list]]]
-
-# ---------------------------------------------------------------------------
-# Wire format: slim batch payloads
-# ---------------------------------------------------------------------------
-
-_KIND_CODES = {"mapper": 0, "layer": 1}
-_KIND_NAMES = ("mapper", "layer")
-
-# ConvLayer wire order — mirrors repro.engine.codec.layer_to_dict, the
-# canonical field order every serialized layer uses.
-_LAYER_FIELDS = ("name", "n", "m", "c", "p", "q", "r", "s",
-                 "stride_h", "stride_w", "groups",
-                 "bits_per_weight", "bits_per_activation", "kind")
-
-
-def _encode_batch(batch: Iterable[Any]) -> Tuple[list, list, list]:
-    """Re-encode one planner batch for the wire.
-
-    Chunks arrive as :class:`~repro.engine.planner.TaskChunk` objects
-    whose tasks each carry a full :class:`ConvLayer`; on a typical grid
-    every layer appears in several tasks (one mapper search plus each
-    DRAM-flag variant), so interning layers and configurations into
-    per-payload tables referenced by index cuts the pickled size several
-    fold.  Layers travel as bare field tuples, not dataclass pickles.
-    Each context also carries its chunk's ``deps`` (the cached mapper
-    entries its tasks read), so a payload is complete in itself.
-    """
-    contexts: list = []
-    layer_specs: list = []
-    layer_index: Dict[int, int] = {}
-    segments: list = []
-    for chunk in batch:
-        context_index = len(contexts)
-        contexts.append((chunk.system, chunk.config, chunk.system_key,
-                         chunk.deps))
-        codes = []
-        for task in chunk.tasks:
-            layer = task.layer
-            index = layer_index.get(id(layer))
-            if index is None:
-                index = len(layer_specs)
-                layer_index[id(layer)] = index
-                layer_specs.append(
-                    tuple(getattr(layer, name) for name in _LAYER_FIELDS))
-            flags = (task.use_mapper
-                     | task.input_from_dram << 1
-                     | task.output_to_dram << 2)
-            codes.append((_KIND_CODES[task.kind], index, flags))
-        segments.append((context_index, codes))
-    return contexts, layer_specs, segments
-
-
-def _decode_layers(layer_specs: list) -> List[ConvLayer]:
-    return [ConvLayer(**dict(zip(_LAYER_FIELDS, spec)))
-            for spec in layer_specs]
-
-
-# ---------------------------------------------------------------------------
-# Wire format: typed-column result packing
-# ---------------------------------------------------------------------------
-
-# Homogeneous scalars of every "layers" cache entry (one per evaluated
-# layer — by far the most numerous result objects on the wire).  The
-# remaining fields are heterogeneous (nested dicts, optionals) and ride
-# in a residual tuple.  _ENTRY_ORDER is the canonical codec field order
-# (repro.engine.codec.layer_evaluation_to_dict); decoding rebuilds each
-# dict in exactly that order so a pool-computed cache image is
-# indistinguishable from a serial one.
-_INT_COLUMNS = ("cycles", "real_macs", "padded_macs", "peak_parallelism")
-_RESIDUAL_FIELDS = ("layer", "energy", "occupancy_bits",
-                    "compute_cycles", "bandwidth_bound_level")
-_ENTRY_ORDER = ("layer", "energy", "cycles", "real_macs", "padded_macs",
-                "peak_parallelism", "clock_ghz", "occupancy_bits",
-                "compute_cycles", "bandwidth_bound_level")
-_ENTRY_FIELD_SET = frozenset(_ENTRY_ORDER)
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-
-def _packable(entry: Any) -> bool:
-    if not isinstance(entry, dict) or entry.keys() != _ENTRY_FIELD_SET:
-        return False
-    for name in _INT_COLUMNS:
-        value = entry[name]
-        if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
-            return False
-    return type(entry["clock_ghz"]) is float
-
-
-def _pack_added(added: Dict[str, Dict[str, Any]]) -> Dict[str, tuple]:
-    """Pack a worker's new cache entries for the return trip.
-
-    Layer-evaluation entries become four parallel structures: the key
-    list, one ``array('q')`` holding the int columns row-major, one
-    ``array('d')`` of clocks, and a residual tuple per entry.  Typed
-    arrays pickle as flat byte buffers — no per-element object headers —
-    and round-trip int64/float64 values exactly.  Anything that doesn't
-    match the schema passes through raw.
-    """
-    packed: Dict[str, tuple] = {}
-    for namespace, entries in added.items():
-        if namespace != "layers" or not entries:
-            if entries:
-                packed[namespace] = ("raw", entries)
-            continue
-        keys, ints, clocks, residuals, raw = [], array("q"), array("d"), [], {}
-        for key, entry in entries.items():
-            if not _packable(entry):
-                raw[key] = entry
-                continue
-            keys.append(key)
-            for name in _INT_COLUMNS:
-                ints.append(entry[name])
-            clocks.append(entry["clock_ghz"])
-            residuals.append(tuple(entry[name] for name in _RESIDUAL_FIELDS))
-        packed[namespace] = ("cols", keys, ints, clocks, residuals, raw)
-    return packed
-
-
-def _unpack_added(packed: Dict[str, tuple]) -> Dict[str, Dict[str, Any]]:
-    added: Dict[str, Dict[str, Any]] = {}
-    for namespace, payload in packed.items():
-        if payload[0] == "raw":
-            added[namespace] = payload[1]
-            continue
-        _tag, keys, ints, clocks, residuals, raw = payload
-        entries: Dict[str, Any] = {}
-        width = len(_INT_COLUMNS)
-        for row, key in enumerate(keys):
-            layer, energy, occupancy, compute_cycles, bound = residuals[row]
-            base = row * width
-            entries[key] = {
-                "layer": layer,
-                "energy": energy,
-                "cycles": ints[base],
-                "real_macs": ints[base + 1],
-                "padded_macs": ints[base + 2],
-                "peak_parallelism": ints[base + 3],
-                "clock_ghz": clocks[row],
-                "occupancy_bits": occupancy,
-                "compute_cycles": compute_cycles,
-                "bandwidth_bound_level": bound,
-            }
-        entries.update(raw)
-        added[namespace] = entries
-    return added
-
 
 # ---------------------------------------------------------------------------
 # Worker-process side
@@ -303,12 +149,12 @@ def run_tasks(system: Any, name: str, system_key: str,
 
 
 def _run_wire_batch(payload):
-    """Execute one slim-encoded planner batch; ship packed results back.
+    """Execute one planner batch; ship its new entries back.
 
     The batch runs against a fresh cache seeded with its chunks' deps
     and one fresh counts memo, so no state carries over from one batch
-    to the next.  Each segment's tasks share one (memoized) system build
-    and one store scope; every segment shares the memo, so the clock and
+    to the next.  Each chunk's tasks share one (memoized) system build
+    and one store scope; every chunk shares the memo, so the clock and
     scenario twins the planner packs together analyze each reference
     candidate once.  The whole batch answers in a single message: the
     entries it computed, its hit/miss counts, its trace events and its
@@ -319,39 +165,28 @@ def _run_wire_batch(payload):
     rides back in the reply's ``failed`` map, so the surviving tasks of
     the batch still land in the cache.
     """
-    from repro.systems.base import SubTask
-
-    index, obs_config, wire, guard, attempt = payload
+    index, obs_config, chunks, guard, attempt = payload
     _sync_tracing(obs_config)
-    contexts, layer_specs, segments = wire
     cache = EvaluationCache()
     counts_memo: Dict = {}
-    layers = _decode_layers(layer_specs)
     failed: Dict[str, Tuple[str, str]] = {}
     if guard is not None:
         timeout, capture, plan_wire = guard
         guard = (timeout, capture, faults.FaultPlan.from_wire(plan_wire))
-    with obs.span("worker.batch", segments=len(segments),
-                  tasks=sum(len(codes) for _index, codes in segments)):
-        for context_index, codes in segments:
-            system_name, config, system_key, deps = contexts[context_index]
+    with obs.span("worker.batch", segments=len(chunks),
+                  tasks=sum(len(tasks) for *_context, tasks in chunks)):
+        for system_name, config, system_key, deps, tasks in chunks:
             # adopt(), not merge(): the parent already holds these
             # entries, so they must not ride back with the results.
             cache.adopt({"mappings": deps})
             system = build_system(system_name, config, system_key, cache,
                                   counts_memo)
-            run_tasks(system, system_name, system_key, (
-                SubTask(kind=_KIND_NAMES[kind_code],
-                        layer=layers[layer_id],
-                        use_mapper=bool(flags & 1),
-                        input_from_dram=bool(flags & 2),
-                        output_to_dram=bool(flags & 4))
-                for kind_code, layer_id, flags in codes),
-                guard, attempt, failed)
+            run_tasks(system, system_name, system_key, tasks, guard,
+                      attempt, failed)
     tracer = obs.current_tracer()
     events = tracer.drain() if tracer.enabled else None
-    return (index, _pack_added(cache.pop_added()), cache.stats_snapshot(),
-            events, failed)
+    return (index, cache.pop_added(), cache.stats_snapshot(), events,
+            failed)
 
 
 def pool_context():
@@ -488,7 +323,8 @@ class WorkerPool:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        pending = {index: _encode_batch(batch)
+        pending = {index: [(chunk.system, chunk.config, chunk.system_key,
+                            chunk.deps, chunk.tasks) for chunk in batch]
                    for index, batch in enumerate(batches)}
         self.stats.dispatches += 1
         self.stats.batches += len(pending)
@@ -497,8 +333,9 @@ class WorkerPool:
         respawns = 0
         try:
             while pending:
-                backlog = [(index, obs_config, wire, guard, attempt + respawns)
-                           for index, wire in pending.items()]
+                backlog = [(index, obs_config, chunks, guard,
+                            attempt + respawns)
+                           for index, chunks in pending.items()]
                 running: set = set()
                 while backlog or running:
                     # One batch per worker at a time: none waits in the
@@ -511,13 +348,11 @@ class WorkerPool:
                     done, running = wait(running, return_when=FIRST_COMPLETED)
                     for future in done:
                         try:
-                            index, packed, stats, events, failed = \
-                                future.result()
+                            reply = future.result()
                         except BrokenProcessPool:
                             continue  # unanswered: re-submitted below
-                        del pending[index]
-                        yield (index, _unpack_added(packed), stats, events,
-                               failed)
+                        del pending[reply[0]]
+                        yield reply
                 if not pending:
                     break
                 respawns += 1

@@ -1,10 +1,9 @@
-"""Sharded, content-addressed, concurrent-safe persistent cache backend.
+"""Sharded, content-addressed, concurrent-safe persistent cache store.
 
-The monolithic ``cache.json`` image the engine started with rewrote (and
-reloaded) everything ever evaluated on each run, and two processes
-sharing one cache directory silently clobbered each other's writes.
-:class:`ShardedStore` replaces it with a layout built around the fact
-that every cache key is (or is prefixed by) a SHA-256 content hash:
+:class:`ShardedStore` is the one on-disk form of a directory-backed
+:class:`~repro.engine.cache.EvaluationCache`.  Its layout is built
+around the fact that every cache key is (or is prefixed by) a SHA-256
+content hash:
 
 * **Shards.**  Entries are distributed over ``shard-0.jsonl`` ..
   ``shard-f.jsonl`` by the first hex digit of their key — uniformly, for
@@ -34,14 +33,14 @@ that every cache key is (or is prefixed by) a SHA-256 content hash:
   time and rewrites the shards compacted.  Evicted entries are simply
   recomputed on the next miss; content-addressed keys make that safe.
 
-* **Migration.**  A directory holding only a legacy ``cache.json``
-  image is migrated into the sharded layout on first open (the legacy
-  file is left in place, untouched, for old readers); the index file
-  doubles as the migrated-already marker.
-
 Everything on-disk is written either append-under-lock (shard logs) or
-atomically via :func:`atomic_write_json` (the index, compacted shards),
-so a crash mid-write never corrupts what was there before.
+atomically via :func:`atomic_write` (the index, compacted shards), so a
+crash mid-write never corrupts what was there before.
+
+A ``cache.json`` beside ``store/`` is a whole-image cache from before
+the store existed.  It is ignored and left in place: its entries were
+computed by older models under keys that do not say so, and no key can
+tell them from current ones.
 """
 
 from __future__ import annotations
@@ -63,30 +62,28 @@ except ImportError:  # pragma: no cover - non-POSIX fallback below
     fcntl = None
 
 _STORE_FORMAT_VERSION = 1
-_LEGACY_FORMAT_VERSION = 1
 _HEX_DIGITS = "0123456789abcdef"
 _SHARD_IDS = tuple(_HEX_DIGITS)
 
 Budget = Union[None, int, Dict[str, int]]
 
 
-def atomic_write_json(path: str, payload: Any) -> str:
-    """Durably replace ``path`` with ``payload`` as JSON.
+def atomic_write(path: str, text: str) -> str:
+    """Durably replace ``path`` with ``text``.
 
     Temp file in the same directory, fsync'd before ``os.replace``, so a
     crash at any point leaves either the old file or the complete new
-    one — never a truncated image (a plain ``open(...); json.dump``
-    could be caught mid-dump, and an un-fsync'd rename can surface as an
-    empty file after power loss).  Used by the legacy single-image
-    writer, the store index, and shard compaction alike.
+    one — never a truncated one (a plain ``open(...).write`` could be
+    caught mid-write, and an un-fsync'd rename can surface as an empty
+    file after power loss).  Writes the store index and compacted
+    shards.
     """
-    directory = os.path.dirname(path) or "."
     fd, temp_path = tempfile.mkstemp(
-        dir=directory, prefix="." + os.path.basename(path) + "-",
-        suffix=".tmp")
+        dir=os.path.dirname(path) or ".",
+        prefix="." + os.path.basename(path) + "-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, path)
@@ -95,6 +92,11 @@ def atomic_write_json(path: str, payload: Any) -> str:
             os.unlink(temp_path)
         raise
     return path
+
+
+def atomic_write_json(path: str, payload: Any) -> str:
+    """:func:`atomic_write` of ``payload`` as JSON (the store index)."""
+    return atomic_write(path, json.dumps(payload))
 
 
 @dataclass
@@ -114,7 +116,6 @@ class StoreStats:
     lock_wait_s: float = 0.0
     evicted_entries: int = 0
     evicted_bytes: int = 0
-    migrated_entries: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -126,7 +127,6 @@ class StoreStats:
             "lock_wait_s": round(self.lock_wait_s, 6),
             "evicted_entries": self.evicted_entries,
             "evicted_bytes": self.evicted_bytes,
-            "migrated_entries": self.migrated_entries,
         }
 
     def reset(self) -> None:
@@ -138,7 +138,6 @@ class StoreStats:
         self.lock_wait_s = 0.0
         self.evicted_entries = 0
         self.evicted_bytes = 0
-        self.migrated_entries = 0
 
 
 class FileLock:
@@ -296,12 +295,8 @@ class ShardedStore:
         return FileLock(os.path.join(self.root, "locks", name + ".lock"),
                         self.stats, timeout=self.lock_timeout)
 
-    @property
-    def legacy_path(self) -> str:
-        return os.path.join(self.directory, "cache.json")
-
     # ------------------------------------------------------------------
-    # Open / migrate
+    # Open
     # ------------------------------------------------------------------
     def _open(self) -> None:
         with obs.span("cache.open", directory=self.directory):
@@ -309,10 +304,8 @@ class ShardedStore:
             if not os.path.exists(self.index_path):
                 with self._lock("index"):
                     # Re-check under the lock: another process may have
-                    # initialized (and migrated) the store meanwhile.
+                    # initialized the store meanwhile.
                     if not os.path.exists(self.index_path):
-                        if os.path.exists(self.legacy_path):
-                            self._migrate_legacy()
                         self._write_index()
             index = self._read_index()
             self.index_counts = {
@@ -338,35 +331,6 @@ class ShardedStore:
             "namespaces": list(self.namespaces),
             "entries": dict(self.index_counts),
         })
-
-    def _migrate_legacy(self) -> None:
-        """Fold a legacy single-JSON image into the sharded layout.
-
-        Entries are re-emitted verbatim — the same dict values the
-        legacy loader would have produced — so a migrated store serves
-        byte-identical results.  An unreadable or foreign-format image
-        is skipped (the store starts empty), matching the legacy
-        loader's start-fresh-not-crash behavior.  The legacy file stays
-        in place untouched for old readers; the index file this method
-        is followed by marks migration done.
-        """
-        with obs.span("cache.migrate", path=self.legacy_path) as span:
-            try:
-                with open(self.legacy_path, "r", encoding="utf-8") as handle:
-                    image = json.load(handle)
-            except (OSError, ValueError):
-                return
-            if not isinstance(image, dict) \
-                    or image.get("version") != _LEGACY_FORMAT_VERSION:
-                return
-            entries = image.get("entries", {})
-            migrated = self._append({
-                ns: dict(values)
-                for ns, values in entries.items()
-                if ns in self.namespaces and values
-            }, {})
-            self.stats.migrated_entries += migrated
-            span.set("entries", migrated)
 
     # ------------------------------------------------------------------
     # Reads
@@ -697,20 +661,8 @@ class ShardedStore:
                        separators=(",", ":"))
             for slot, value, atime in survivors
         ]
-        text = "\n".join(lines) + "\n"
         with self._lock("shard-" + shard):
-            fd, temp_path = tempfile.mkstemp(
-                dir=self.root, prefix=".shard-", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(temp_path, path)
-            except BaseException:
-                if os.path.exists(temp_path):
-                    os.unlink(temp_path)
-                raise
+            atomic_write(path, "\n".join(lines) + "\n")
 
     # ------------------------------------------------------------------
     # Introspection

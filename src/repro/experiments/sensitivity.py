@@ -91,7 +91,8 @@ def _perturbed(scenario: ScalingScenario, field: str,
     value = getattr(scenario, field) * factor
     if field == "laser_wall_plug_efficiency":
         value = min(value, 1.0)
-    return dataclasses.replace(scenario, **{field: value})
+    name = f"{scenario.name}:{field}x{factor:g}"
+    return dataclasses.replace(scenario, name=name, **{field: value})
 
 
 def _accelerator_pj_per_mac(evaluation: LayerEvaluation) -> float:

@@ -54,6 +54,13 @@ class EnergyBreakdown:
             merged[key] = merged.get(key, 0.0) + value
         return EnergyBreakdown(merged)
 
+    def __eq__(self, other: object) -> bool:
+        """Equal entries in equal order: totals sum in entry order, so
+        two breakdowns that differ only in order can differ in total."""
+        if not isinstance(other, EnergyBreakdown):
+            return NotImplemented
+        return list(self._entries.items()) == list(other._entries.items())
+
     def scaled(self, factor: float) -> "EnergyBreakdown":
         if factor < 0:
             raise ValueError(f"scale factor must be >= 0, got {factor}")

@@ -260,41 +260,26 @@ class TestCache:
         assert stats == {"searches": 1, "evaluated": 10, "valid": 7,
                          "deduplicated": 3, "pruned_early": 2}
 
-    def test_pre_overhaul_mapper_entries_still_load(self):
-        """Cache images written before the counters existed stay valid."""
-        from repro.engine.cache import SystemStore
-        from repro.mapping.serialize import mapping_to_dict
-        from repro.systems.albireo import albireo_reference_mapping
-        from repro.workloads import ConvLayer
-
-        mapping = albireo_reference_mapping(
-            AlbireoConfig(), ConvLayer(name="l", m=8, c=8, p=4, q=4))
-        cache = EvaluationCache()
-        store = SystemStore(cache, "cfg")
-        # A legacy entry: no deduplicated / pruned_early keys.
-        cache.put("mappings", store._key(("k",)), {
-            "mapping": mapping_to_dict(mapping),
-            "cost": 2.0, "evaluated": 5, "valid": 5,
-        })
-        loaded = store.load_mapper_result(("k",))
-        assert loaded.valid == 5
-        assert loaded.deduplicated == 0
-        assert loaded.pruned_early == 0
-
     def test_corrupt_or_foreign_image_starts_fresh(self, tmp_path):
-        (tmp_path / "cache.json").write_text(
+        """A stray whole-image ``cache.json`` is ignored and left in
+        place, whatever its format."""
+        image = tmp_path / "cache.json"
+        image.write_text(
             json.dumps({"version": 999, "entries": {"results": {"x": 1}}}))
-        for backend in ("legacy", "sharded"):
-            cache = EvaluationCache(str(tmp_path), backend=backend)
-            assert len(cache) == 0
-            assert cache.get("results", "x") is None
+        cache = EvaluationCache(str(tmp_path))
+        assert len(cache) == 0
+        assert cache.get("results", "x") is None
+        assert cache.store.describe()["total_entries"] == 0
+        assert json.loads(image.read_text())["version"] == 999
 
     def test_truncated_image_starts_fresh(self, tmp_path):
-        (tmp_path / "cache.json").write_text('{"version": 1, "entries": {TR')
-        for backend in ("legacy", "sharded"):
-            cache = EvaluationCache(str(tmp_path), backend=backend)
-            assert len(cache) == 0
-            assert cache.get("results", "x") is None
+        image = tmp_path / "cache.json"
+        image.write_text('{"version": 1, "entries": {TR')
+        cache = EvaluationCache(str(tmp_path))
+        assert len(cache) == 0
+        assert cache.get("results", "x") is None
+        assert cache.store.describe()["total_entries"] == 0
+        assert image.read_text() == '{"version": 1, "entries": {TR'
 
     def test_in_memory_cache_needs_no_disk(self, small_network):
         cache = EvaluationCache()
@@ -303,14 +288,6 @@ class TestCache:
         run_job(job, cache)
         assert cache.stats["results"].hits == 1
         assert cache.save() is None
-
-    def test_atomic_save_leaves_single_image(self, small_network, tmp_path):
-        cache = EvaluationCache(str(tmp_path), backend="legacy")
-        run_job(make_job(small_network, AlbireoConfig()), cache)
-        cache.save()
-        cache.save()
-        files = list(tmp_path.iterdir())
-        assert [f.name for f in files] == ["cache.json"]
 
     def test_atomic_save_leaves_no_temp_files(self, small_network, tmp_path):
         cache = EvaluationCache(str(tmp_path))
@@ -322,18 +299,6 @@ class TestCache:
         assert all(n == "locks" or n == "index.json"
                    or (n.startswith("shard-") and n.endswith(".jsonl"))
                    for n in names)
-
-    def test_clean_run_skips_disk_rewrite(self, small_network, tmp_path):
-        jobs = config_study(small_network, _small_configs(2)).compile()
-        run_jobs(jobs, cache=EvaluationCache(str(tmp_path),
-                                             backend="legacy"))
-        image = tmp_path / "cache.json"
-        before = image.stat().st_mtime_ns
-
-        warm = EvaluationCache(str(tmp_path), backend="legacy")
-        run_jobs(jobs, cache=warm)  # 100% hits: nothing new to persist
-        assert not warm.dirty
-        assert image.stat().st_mtime_ns == before
 
     def test_clean_sharded_run_appends_no_entries(self, small_network,
                                                   tmp_path):
@@ -687,9 +652,9 @@ class TestShapeKeyedLayerEntries:
 
 
 class TestSystemBuilds:
-    """A run builds one system per configuration for planning (which
-    assembly reuses) and, in-process, one store-backed system per
-    configuration to run its tasks; nothing is built per job."""
+    """A run builds one system per configuration: the planner's, which
+    plans, runs the configuration's tasks in-process and assembles its
+    jobs.  Nothing is built per job."""
 
     @staticmethod
     def _grid_study_jobs():
@@ -715,11 +680,11 @@ class TestSystemBuilds:
         monkeypatch.setattr(PhotonicSystem, "__init__", counting)
         return calls
 
-    def test_in_process_run_builds_two_per_configuration(self, builds):
+    def test_in_process_run_builds_one_per_configuration(self, builds):
         jobs = self._grid_study_jobs()
         assert len(jobs) == 36
         run_jobs(jobs, cache=EvaluationCache())
-        assert len(builds) == 24
+        assert len(builds) == 12
 
     def test_pooled_run_builds_one_per_configuration_in_the_parent(
             self, builds):

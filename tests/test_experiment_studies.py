@@ -101,6 +101,23 @@ class TestBestCaseStudy:
         sensitivity.run()
         assert len(analyses) == 1
 
+    def test_sensitivity_scenarios_carry_distinct_names(self, monkeypatch):
+        """Each perturbation is its own named scenario, so the study's
+        records can tell the 17 points apart."""
+        from repro.api import study
+
+        priced = []
+        run_jobs = study.run_jobs
+
+        def recording(jobs, **kwargs):
+            priced.extend(job.config.scenario.name for job in jobs)
+            return run_jobs(jobs, **kwargs)
+
+        monkeypatch.setattr(study, "run_jobs", recording)
+        sensitivity.run()
+        assert len(priced) == len(set(priced)) == 17
+        assert priced[0] == CONSERVATIVE.name
+
 
 class TestNetworkStudies:
     @pytest.mark.parametrize("use_mapper", [False, True],

@@ -1,5 +1,7 @@
 """Tests for energy breakdowns and evaluation result containers."""
 
+import dataclasses
+
 import pytest
 
 from repro.model.buckets import BucketScheme, component_rule
@@ -79,6 +81,44 @@ class TestEnergyBreakdown:
 
     def test_describe_contains_total(self):
         assert "TOTAL" in _breakdown().describe()
+
+    def test_equal_entries_in_equal_order_compare_equal(self):
+        assert _breakdown() == _breakdown()
+        assert _breakdown() != _breakdown().scaled(2.0)
+        assert _breakdown() != "not a breakdown"
+
+
+class TestValueEquality:
+    """Evaluations with bit-identical numbers compare equal, entry order
+    included: totals sum in entry order."""
+
+    @staticmethod
+    def _evaluation():
+        from repro.systems.albireo import AlbireoSystem
+
+        return AlbireoSystem().evaluate_layer(
+            ConvLayer(name="conv", m=64, c=32, p=14, q=14, r=3, s=3))
+
+    def test_separate_evaluations_compare_equal(self):
+        assert self._evaluation() == self._evaluation()
+
+    def test_one_changed_entry_compares_unequal(self):
+        evaluation = self._evaluation()
+        entries = evaluation.energy.entries()
+        key = next(iter(entries))
+        entries[key] *= 2.0
+        changed = dataclasses.replace(evaluation,
+                                      energy=EnergyBreakdown(entries))
+        assert changed != evaluation
+
+    def test_reordered_entries_compare_unequal(self):
+        evaluation = self._evaluation()
+        entries = list(evaluation.energy.entries().items())
+        assert len(entries) > 1
+        reordered = dataclasses.replace(
+            evaluation, energy=EnergyBreakdown(dict(reversed(entries))))
+        assert reordered.energy.entries() == evaluation.energy.entries()
+        assert reordered != evaluation
 
 
 def _layer_eval(cycles=100, real=3200, padded=3200):

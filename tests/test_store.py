@@ -1,11 +1,10 @@
-"""Sharded cache store: durability, migration, concurrency, eviction.
+"""Sharded cache store: durability, concurrency, eviction.
 
 Covers the on-disk contracts of :mod:`repro.engine.store` that the
-engine-level tests only exercise indirectly: atomic index/image writes,
-legacy ``cache.json`` auto-migration, two processes appending to one
-store without losing entries, readers never seeing torn records, lock
-contention surfacing in the stats, and LRU eviction under entry/byte
-budgets.
+engine-level tests only exercise indirectly: atomic index and shard
+writes, two processes appending to one store without losing entries,
+readers never seeing torn records, lock contention surfacing in the
+stats, and LRU eviction under entry/byte budgets.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from repro.engine import EvaluationCache
 from repro.engine.store import (
     FileLock,
     ShardedStore,
+    atomic_write,
     atomic_write_json,
     shard_of,
 )
@@ -66,6 +66,26 @@ class TestBuildingBlocks:
         # No stray temp files left behind either.
         assert os.listdir(str(tmp_path)) == ["index.json"]
 
+    def test_atomic_write_replaces_text(self, tmp_path):
+        path = str(tmp_path / "shard-0.jsonl")
+        assert atomic_write(path, "old\n") == path
+        atomic_write(path, "new\n")
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == "new\n"
+        assert os.listdir(str(tmp_path)) == ["shard-0.jsonl"]
+
+    def test_atomic_write_failure_mid_write_keeps_old_file(self, tmp_path):
+        """A write that fails once its temp file exists (here: text
+        UTF-8 cannot encode) removes the temp file and leaves the old
+        file whole."""
+        path = str(tmp_path / "shard-0.jsonl")
+        atomic_write(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(path, "half\n\ud800")
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == "old\n"
+        assert os.listdir(str(tmp_path)) == ["shard-0.jsonl"]
+
 
 # ---------------------------------------------------------------------------
 # Round trip + lazy loading
@@ -106,68 +126,6 @@ class TestShardedRoundTrip:
         cache.save()
         warm = EvaluationCache(str(tmp_path))
         assert warm.get("results", _key("a")) == {"v": 2}
-
-
-# ---------------------------------------------------------------------------
-# Legacy migration
-# ---------------------------------------------------------------------------
-
-
-class TestMigration:
-    def _legacy_cache(self, directory, entries):
-        legacy = EvaluationCache(directory, backend="legacy")
-        for namespace, key, value in entries:
-            legacy.put(namespace, key, value)
-        legacy.save()
-        return legacy
-
-    def test_auto_migration_preserves_entries_exactly(self, tmp_path):
-        entries = [
-            ("results", _key("r"), {"energy": 1.25, "nested": [1, 2]}),
-            ("mappings", _key("m"), {"cost": 0.5}),
-            ("layers", _key("l"), {"latency": 7}),
-        ]
-        self._legacy_cache(str(tmp_path), entries)
-        legacy_bytes = (tmp_path / "cache.json").read_bytes()
-
-        migrated = EvaluationCache(str(tmp_path))
-        for namespace, key, value in entries:
-            assert migrated.get(namespace, key) == value
-        assert migrated.store.stats.migrated_entries == len(entries)
-        # The legacy image stays in place, untouched, for old readers.
-        assert (tmp_path / "cache.json").read_bytes() == legacy_bytes
-
-    def test_migration_happens_once(self, tmp_path):
-        self._legacy_cache(str(tmp_path),
-                           [("results", _key("r"), {"v": 1})])
-        first = EvaluationCache(str(tmp_path))
-        assert first.store.stats.migrated_entries == 1
-        again = EvaluationCache(str(tmp_path))
-        assert again.store.stats.migrated_entries == 0
-        assert again.get("results", _key("r")) == {"v": 1}
-
-    def test_sharded_serves_byte_identical_values(self, tmp_path):
-        """A migrated store returns values that encode byte-identically
-        to what the legacy loader would have produced."""
-        value = {"cost": 1.5, "list": [1, 2, 3], "s": "x"}
-        self._legacy_cache(str(tmp_path), [("results", _key("r"), value)])
-        legacy_view = EvaluationCache(str(tmp_path), backend="legacy")
-        sharded_view = EvaluationCache(str(tmp_path))
-        a = json.dumps(legacy_view.get("results", _key("r")),
-                       sort_keys=True)
-        b = json.dumps(sharded_view.get("results", _key("r")),
-                       sort_keys=True)
-        assert a == b
-
-    def test_explicit_cli_migrate(self, tmp_path, capsys):
-        from repro.cli import main
-
-        self._legacy_cache(str(tmp_path),
-                           [("results", _key("r"), {"v": 1})])
-        assert main(["cache", "migrate", str(tmp_path), "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["migrated_entries"] == 1
-        assert info["total_entries"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +334,22 @@ class TestEviction:
         assert store.total_bytes() < size_before
         assert store.load_shard(shard_of(key))["results"][key] == {"v": 4}
 
+    def test_gc_compaction_leaves_a_complete_shard(self, tmp_path):
+        """gc rewrites a shard whole: a fresh store reads the one
+        surviving record back, and no temp file is left."""
+        store = ShardedStore(str(tmp_path), NAMESPACES)
+        key = _key("rewritten")
+        for version in range(3):
+            store.flush({"results": {key: {"v": version}}})
+        store.gc()
+        fresh = ShardedStore(str(tmp_path), NAMESPACES)
+        assert fresh.load_shard(shard_of(key))["results"][key] == {"v": 2}
+        with open(fresh.shard_path(shard_of(key)), "r",
+                  encoding="utf-8") as handle:
+            assert len(handle.read().splitlines()) == 1
+        assert not [name for _root, _dirs, files in os.walk(str(tmp_path))
+                    for name in files if name.endswith(".tmp")]
+
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -420,3 +394,21 @@ class TestCacheCli:
         out = capsys.readouterr().out
         assert "1 entries" in out
         assert "results 1" in out
+
+    def test_stray_image_is_ignored_and_migrate_is_gone(self, tmp_path,
+                                                        capsys):
+        """A whole-image ``cache.json`` from before the store is never
+        read: its entries could come from an older model."""
+        from repro.cli import main
+
+        image = tmp_path / "cache.json"
+        image.write_text(json.dumps(
+            {"version": 1, "entries": {"results": {_key("r"): {"v": 1}}}}))
+        assert main(["cache", "stats", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total_entries"] == 0
+        assert EvaluationCache(str(tmp_path)).get("results", _key("r")) \
+            is None
+        assert json.loads(image.read_text())["version"] == 1
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "migrate", str(tmp_path)])
+        assert exit_info.value.code == 2

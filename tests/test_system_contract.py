@@ -13,7 +13,7 @@ registering, with no new test code:
   bit-identical result);
 * in-process and pooled runs match the store-less object path
   (``evaluate_network``) bit for bit, with or without DRAM and fusion,
-  and plan the same tasks;
+  plan the same tasks, and leave byte-identical cache entries;
 * the duck-typed ``store`` seam memoizes mapper searches and layer
   evaluations;
 * the sub-task seams agree with the evaluation path: enumerated tasks
@@ -29,6 +29,7 @@ registering, with no new test code:
 
 import copy
 import dataclasses
+import json
 import math
 
 import pytest
@@ -47,7 +48,7 @@ from repro.engine.codec import (
     layer_evaluation_to_dict,
     network_evaluation_to_dict,
 )
-from repro.engine.pool import _encode_batch, _run_wire_batch
+from repro.engine.pool import _run_wire_batch
 from repro.mapping.analysis import NestAnalyzer
 from repro.mapping.mapping import Mapping
 from repro.model.results import NetworkEvaluation
@@ -235,6 +236,27 @@ class TestEngineIntegration:
         del serial["batches"], planned["batches"]
         assert serial == planned
 
+    def test_pooled_entries_are_byte_identical_to_serial(self, entry):
+        """A pool worker's entries reach the parent's cache unchanged:
+        the same keys, and each value's JSON text (field order included)
+        equal to the in-process run's."""
+
+        def entries(workers):
+            cache = EvaluationCache()
+            for use_mapper in (False, True):
+                (Study().systems(entry.name).networks("tiny")
+                 .fusion(False, True).options(use_mapper=use_mapper)
+                 .run(workers=workers, cache=cache))
+            return cache.snapshot()
+
+        serial, pooled = entries(1), entries(2)
+        for namespace in ("layers", "mappings"):
+            assert serial[namespace], namespace
+            assert pooled[namespace].keys() == serial[namespace].keys()
+            for key, value in serial[namespace].items():
+                assert json.dumps(pooled[namespace][key]) \
+                    == json.dumps(value), (namespace, key)
+
     def test_planner_warm_cache_replays_without_tasks(self, entry, tmp_path):
         """A warmed cache replays the planned sweep as pure hits: the
         planner schedules zero phase-1 work the second time."""
@@ -420,7 +442,9 @@ def _twin_batch(entry):
 
 def _run_batch(chunks):
     """Run ``chunks`` as one pool batch, in this process."""
-    return _run_wire_batch((0, None, _encode_batch(chunks), None, 0))
+    return _run_wire_batch((0, None, [
+        (chunk.system, chunk.config, chunk.system_key, chunk.deps,
+         chunk.tasks) for chunk in chunks], None, 0))
 
 
 class TestGeometrySharing:

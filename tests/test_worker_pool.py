@@ -1,20 +1,21 @@
 """Tests for the persistent warm worker pool (:mod:`repro.engine.pool`).
 
 Covers stateless workers (each batch carries the cached mapper entries
-it reads, and nothing else), pool sizing, the slim wire codec (interned
-batch payloads, typed-column result packing), interrupt safety (a
-cancelled dispatch leaves no orphaned workers and the pool stays
-reusable), and bit-identity of pooled execution against serial
-execution.
+it reads, and nothing else), pool sizing, plain-pickle batch payloads,
+interrupt safety (a cancelled dispatch leaves no orphaned workers and
+the pool stays reusable), and bit-identity of pooled execution against
+serial execution.
 """
 
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -27,12 +28,7 @@ from repro.engine import (
     run_jobs,
 )
 from repro.engine.codec import network_evaluation_to_dict
-from repro.engine.pool import (
-    _decode_layers,
-    _encode_batch,
-    _pack_added,
-    _unpack_added,
-)
+from repro.engine.pool import _run_wire_batch
 from repro.systems import AlbireoConfig
 from repro.workloads import tiny_cnn
 
@@ -247,60 +243,41 @@ class TestInterruptSafety:
             WorkerPool(workers=0)
 
 
-class TestWireCodec:
-    def test_batch_encoding_round_trips_layers(self, small_network):
-        """Interned wire payloads decode to the exact same layers and
-        task structure the planner produced."""
-        cache = EvaluationCache()
-        plan = build_plan(_grid_b(small_network), cache, workers=2)
-        for batch in plan.batches:
-            contexts, layer_specs, segments = _encode_batch(batch)
-            layers = _decode_layers(layer_specs)
-            assert len(contexts) == len(batch) == len(segments)
-            for chunk, (ctx_index, codes) in zip(batch, segments):
-                system_name, config, system_key, deps = contexts[ctx_index]
-                assert system_name == chunk.system
-                assert config == chunk.config
-                assert system_key == chunk.system_key
-                assert deps is chunk.deps
-                assert len(codes) == len(chunk.tasks)
-                for task, (kind_code, layer_id, flags) in zip(chunk.tasks,
-                                                              codes):
-                    assert layers[layer_id] == task.layer
-                    assert layers[layer_id].name == task.layer.name
-                    assert kind_code == {"mapper": 0, "layer": 1}[task.kind]
-                    assert bool(flags & 1) == task.use_mapper
-                    assert bool(flags & 2) == task.input_from_dram
-                    assert bool(flags & 4) == task.output_to_dram
+class TestPlainPayloads:
+    def test_a_batch_travels_as_a_plain_pickle(self, small_network,
+                                               monkeypatch):
+        """A batch ships as its chunks' ``(system, config, system_key,
+        deps, tasks)`` (the planner's clusters stay in the parent), runs
+        from its own pickle alone, and the pool yields the worker's
+        entries unchanged."""
+        plan = build_plan(_grid_b(small_network), EvaluationCache(),
+                          workers=2)
+        with WorkerPool(workers=2) as pool:
+            pooled = {index: added for index, added, *_rest
+                      in pool.run_batches(plan.batches)}
 
-    def test_result_packing_round_trips_exactly(self):
-        """Typed-column packing reproduces layer entries key-for-key,
-        value-for-value, and in canonical field order."""
-        entry = {
-            "layer": {"name": "conv1", "m": 8},
-            "energy": [["DRAM", "W", 1.5]],
-            "cycles": 123456789,
-            "real_macs": 10**15,
-            "padded_macs": 10**15 + 7,
-            "peak_parallelism": 4096,
-            "clock_ghz": 5.0,
-            "occupancy_bits": {"GlobalBuffer": 2048.0},
-            "compute_cycles": 120000000,
-            "bandwidth_bound_level": None,
-        }
-        odd = {"weird": True}  # schema mismatch -> raw passthrough
-        added = {
-            "layers": {"k1": entry, "k2": odd},
-            "mappings": {"m1": {"mapping": {}, "cost": 1.0}},
-        }
-        unpacked = _unpack_added(_pack_added(added))
-        assert unpacked["layers"]["k1"] == entry
-        assert list(unpacked["layers"]["k1"]) == list(entry)
-        assert unpacked["layers"]["k2"] is odd
-        assert unpacked["mappings"] == added["mappings"]
+        shipped = []
 
-    def test_empty_namespaces_not_shipped(self):
-        assert _pack_added({"layers": {}, "results": {}}) == {}
+        def submit(payload):
+            shipped.append(payload)
+            future = Future()
+            future.set_result(
+                _run_wire_batch(pickle.loads(pickle.dumps(payload))))
+            return future
+
+        local = WorkerPool(workers=2)
+        monkeypatch.setattr(local, "_submit", submit)
+        in_process = {index: added for index, added, *_rest
+                      in local.run_batches(plan.batches)}
+
+        assert len(shipped) == len(plan.batches) > 1
+        for index, _obs_config, chunks, _guard, _attempt in shipped:
+            assert chunks == [
+                (chunk.system, chunk.config, chunk.system_key, chunk.deps,
+                 chunk.tasks) for chunk in plan.batches[index]]
+        assert all(added["layers"] for added in pooled.values())
+        assert in_process == pooled
+        assert _no_orphans()
 
 
 class TestStudyIntegration:
