@@ -607,12 +607,18 @@ def _cmd_arch(args) -> None:
 
 def _cmd_cache(args) -> None:
     """Maintain a persistent cache directory (the sharded store behind
-    ``--cache DIR``): exact inventory, LRU gc + compaction."""
+    ``--cache DIR``): exact inventory, LRU gc + compaction.  A directory
+    without a store is an error, so a mistyped path creates nothing."""
     import json
+    import os
 
     from repro.engine.cache import NAMESPACES
     from repro.engine.store import ShardedStore
 
+    root = ShardedStore.root_of(args.directory)
+    if not os.path.isdir(root):
+        raise ReproError(f"no cache store in {args.directory!r} "
+                         f"({root!r} is not a directory)")
     store = ShardedStore(args.directory, NAMESPACES)
     info = {"action": args.action}
     if args.action == "gc":

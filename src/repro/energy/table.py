@@ -71,7 +71,12 @@ class EnergyTable:
         self._entries[entry.component] = entry
 
     def replace(self, entry: EnergyEntry) -> None:
-        """Add or overwrite the entry for ``entry.component``."""
+        """Add or overwrite the entry for ``entry.component``.
+
+        Do this before any model built on the table prices anything: an
+        :class:`~repro.model.accelerator.AcceleratorModel` keeps the
+        energies it read first and ignores a later overwrite.
+        """
         self._entries[entry.component] = entry
 
     def __contains__(self, component: str) -> bool:

@@ -431,7 +431,7 @@ class EvaluationCache:
             totals["searches"] += 1
             for counter in ("evaluated", "valid", "deduplicated",
                             "pruned_early"):
-                totals[counter] += int(entry.get(counter, 0))
+                totals[counter] += int(entry[counter])
         return totals
 
     # ------------------------------------------------------------------

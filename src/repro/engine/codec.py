@@ -271,30 +271,27 @@ def network_evaluation_from_dict(
         spec: TMapping[str, Any]) -> NetworkEvaluation:
     """Rebuild a network evaluation from its dict form.
 
-    The totals are summed straight from each layer dict's energy rows,
-    cycles and MACs, bit-identical to summing the decoded layers.  The
-    :class:`~repro.model.results.LayerEvaluation` objects are built only
-    when ``layers`` is first read; records and reports never need them.
+    The totals are summed from each layer dict's rows, cycles and MACs
+    by :meth:`~repro.model.results.NetworkTotals.of`, as the object path
+    sums, each distinct rows list decoded once into one shared entries
+    dict.  :class:`~repro.model.results.LayerEvaluation` objects are
+    built only when ``layers`` is first read; records never need them.
     """
     layer_specs = tuple((layer_spec, int(count))
                         for layer_spec, count in spec["layers"])
-    # Layers often share one rows list (same-shape layers read one
-    # shape-keyed entry, which assembly embeds or copies shallowly):
-    # decode each list once.  ``layer_specs`` keeps every list alive, so
-    # its id is a sound key for this call.
+    # Same-shape layers share one rows list (assembly resolves each
+    # entry once per job): decode each list once.  ``layer_specs`` keeps
+    # every list alive, so its id is a sound key for this call.
     decoded: Dict[int, dict] = {}
-
-    def entries_of(layer_spec: TMapping[str, Any]) -> dict:
+    layers = []
+    for layer_spec, count in layer_specs:
         rows = layer_spec["energy"]
         entries = decoded.get(id(rows))
         if entries is None:
             entries = decoded[id(rows)] = _decode_energy_rows(rows)
-        return entries
-
-    totals = NetworkTotals.of(
-        (entries_of(layer_spec), int(layer_spec["cycles"]),
-         int(layer_spec["real_macs"]), count)
-        for layer_spec, count in layer_specs)
+        layers.append((entries, int(layer_spec["cycles"]),
+                       int(layer_spec["real_macs"]), count))
+    totals = NetworkTotals.of(layers)
     return NetworkEvaluation.lazy(
         name=str(spec["name"]),
         clock_ghz=float(spec["clock_ghz"]),

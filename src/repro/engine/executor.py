@@ -364,7 +364,7 @@ def _execute_round(
     capture = guard is not None and guard[1]
     fault_plan = (faults.FaultPlan.from_wire(guard[2])
                   if guard is not None else None)
-    recipes: Dict[Tuple, List[Tuple]] = {}
+    recipes: Dict[Tuple, Tuple[List, List]] = {}
 
     def finish(index: int, systems: Dict[str, Any],
                failed: Dict[str, Tuple[str, str]]) -> None:
@@ -431,31 +431,34 @@ def _execute_round(
             planner.report()
 
 
-def _assembly_recipe(system: Any, job: EvaluationJob) -> List[Tuple]:
-    """The (store key, count, layer dict) sequence assembling ``job``
-    looks up — the same fusion-block walk :meth:`evaluate_network`
+def _assembly_recipe(system: Any, job: EvaluationJob) -> Tuple[List, List]:
+    """What assembling ``job`` looks up: its distinct store keys, in
+    first-use order, and per layer block ``(index into them, count,
+    layer dict)`` — the same fusion-block walk :meth:`evaluate_network`
     performs, with each entry's own layer to attach to what it reads."""
     from repro.model.accelerator import fusion_blocks
 
     network_entries = job.network.entries
-    recipe = []
+    slots: Dict[Tuple, int] = {}
+    steps = []
     for index, network_entry in enumerate(network_entries):
         is_last = index == len(network_entries) - 1
         layer = network_entry.layer
         layer_spec = layer_to_dict(layer)
         for input_dram, output_dram, count in fusion_blocks(
                 network_entry, is_last, job.fused):
-            recipe.append((system._layer_store_key(
-                layer, job.use_mapper, input_dram, output_dram),
-                count, layer_spec))
-    return recipe
+            store_key = system._layer_store_key(
+                layer, job.use_mapper, input_dram, output_dram)
+            steps.append((slots.setdefault(store_key, len(slots)), count,
+                          layer_spec))
+    return list(slots), steps
 
 
 def _assemble_job(
     job: EvaluationJob,
     system: Any,
     cache: EvaluationCache,
-    recipes: Dict[Tuple, List[Tuple]],
+    recipes: Dict[Tuple, Tuple[List, List]],
     failed_entries: Dict[str, Tuple[str, str]],
 ) -> Dict[str, Any]:
     """Build a job's result dict straight from warm layer entries.
@@ -468,14 +471,14 @@ def _assemble_job(
     evaluate_network` would return: the cached per-layer dicts are the
     exact serializations the object path would decode and re-encode, so
     embedding them verbatim is bit-identical and skips both conversions.
-    Layer entries are shared by shape, so an entry stored under another
-    same-shape layer is embedded as a shallow copy carrying this job's
-    own layer dict; ``include_dram=False`` drops the DRAM rows from that
-    copy (the accelerator-only view of Figs. 2 and 5).  A missing entry
-    listed in ``failed_entries`` (its computation failed under the
-    failure-policy guard) raises :class:`_SubTaskFailed`, so the caller
-    routes the job through the policy.  Any other missing entry means
-    the system's sub-task seams disagree with this walk: a
+    Each distinct store key is peeked, failure-checked and (under
+    ``include_dram=False``, the accelerator-only view of Figs. 2 and 5)
+    stripped of DRAM rows once per job; same-shape layers embed shallow
+    copies carrying their own layer dict and sharing one rows list.  A
+    missing entry listed in ``failed_entries`` (its computation failed
+    under the failure-policy guard) raises :class:`_SubTaskFailed`, so
+    the caller routes the job through the policy.  Any other missing
+    entry means the system's sub-task seams disagree with this walk: a
     :class:`~repro.exceptions.SpecError` names the job and the key.
 
     ``recipes`` (per round) memoizes the store-key walk for systems
@@ -499,8 +502,9 @@ def _assemble_job(
         recipe = _assembly_recipe(system, job)
         if memo_key is not None:
             recipes[memo_key] = recipe
-    layers = []
-    for store_key, count, layer_spec in recipe:
+    store_keys, steps = recipe
+    resolved = []
+    for store_key in store_keys:
         key = store_entry_key(system_key, store_key)
         layer_dict = cache.peek("layers", key)
         if layer_dict is None:
@@ -510,12 +514,15 @@ def _assemble_job(
                 f"{job.describe()}: layer entry {key} was planned but "
                 f"never computed; {job.system}'s sub-task seams disagree "
                 f"with assembly")
+        rows = layer_dict["energy"]
+        if not job.include_dram:
+            rows = [row for row in rows if row[0] != "DRAM"]
+        resolved.append((layer_dict, rows))
+    layers = []
+    for slot, count, layer_spec in steps:
+        layer_dict, rows = resolved[slot]
         if layer_dict["layer"] != layer_spec or not job.include_dram:
-            layer_dict = dict(layer_dict, layer=layer_spec)
-            if not job.include_dram:
-                layer_dict["energy"] = [
-                    row for row in layer_dict["energy"] if row[0] != "DRAM"
-                ]
+            layer_dict = dict(layer_dict, layer=layer_spec, energy=rows)
         layers.append([layer_dict, count])
     return {
         "name": job.network.name,

@@ -274,7 +274,7 @@ class ShardedStore:
         #: operations hold them for milliseconds, so hitting it means a
         #: wedged contender; raise StoreLockTimeout, don't hang a sweep.
         self.lock_timeout = lock_timeout
-        self.root = os.path.join(directory, "store")
+        self.root = self.root_of(directory)
         self.stats = StoreStats()
         #: Approximate per-namespace entry counts from the index; kept
         #: current on flush (overwrites double-count until the next gc).
@@ -284,6 +284,12 @@ class ShardedStore:
     # ------------------------------------------------------------------
     # Paths and locks
     # ------------------------------------------------------------------
+    @staticmethod
+    def root_of(directory: str) -> str:
+        """The store's own directory inside ``directory``; opening a
+        store creates it, so test it to find an existing store."""
+        return os.path.join(directory, "store")
+
     @property
     def index_path(self) -> str:
         return os.path.join(self.root, "index.json")

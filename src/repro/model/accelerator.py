@@ -20,6 +20,7 @@ without native group support.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,6 +54,9 @@ from repro.workloads.network import Network
 #: Produces a mapping for a layer (a reference-mapping generator or a
 #: mapper-search closure).
 MappingProvider = Callable[[ConvLayer], Mapping]
+
+#: The counts a price term reads (see ``AcceleratorModel._price_terms``).
+_READS, _WRITES, _CONVERTS, _MACS = "reads", "writes", "conversions", "macs"
 
 
 def fusion_blocks(entry, is_last_entry: bool, fused: bool):
@@ -98,7 +102,12 @@ class NetworkOptions:
 
 
 class AcceleratorModel:
-    """Evaluates workloads on one architecture with one energy table."""
+    """Evaluates workloads on one architecture with one energy table.
+
+    The model copies the table's per-action energies into its price
+    terms the first time it prices anything, so the table must not be
+    changed (:meth:`EnergyTable.replace`) after that.
+    """
 
     def __init__(self, architecture: Architecture,
                  energy_table: EnergyTable) -> None:
@@ -235,15 +244,15 @@ class AcceleratorModel:
         """Total energy (pJ) per candidate of a *checked* block of mappings
         or mapper candidate rows.
 
-        Vectorized twin of pricing ``evaluate_layer(...).energy_pj`` for
-        each mapping (with full DRAM round-trips — no elision): one
-        batched nest analysis plus array pricing over the candidate axis.
-        Candidates the scalar path would reject (capacity violation,
-        structural inconsistency) yield ``None``.  Results are
-        bit-identical to the scalar path: every integer is converted to
-        float64 once and every energy entry is accumulated, scaled by the
-        group count, and summed in exactly the scalar
-        :class:`EnergyBreakdown` insertion order.
+        Vectorized twin of ``price(layer, counts).energy_pj`` for each
+        mapping (full DRAM round-trips, no elision): one batched nest
+        analysis, then array pricing over the candidate axis, walking the
+        same :attr:`_price_terms` as :meth:`_price`.  Candidates the scalar
+        path would reject (capacity violation, structural inconsistency)
+        yield ``None``.  Results are bit-identical to the scalar path:
+        every integer is converted to float64 once and every energy entry
+        is accumulated, scaled by the group count, and summed in exactly
+        the scalar :class:`EnergyBreakdown` insertion order.
         """
         import numpy as np
 
@@ -264,37 +273,30 @@ class AcceleratorModel:
 
         energy = self.energy_table.energy
         padded_f = None
-        for node in self.architecture.nodes:
-            if isinstance(node, StorageLevel):
-                read_pj = energy(node.component, "read")
-                write_pj = energy(node.component, "write")
-                for dataspace, reads in batch.reads_entries.get(
-                        node.name, ()):
-                    add(node.name, dataspace, reads * read_pj)
-                for dataspace, writes in batch.writes_entries.get(
-                        node.name, ()):
-                    add(node.name, dataspace, writes * write_pj)
-            elif isinstance(node, ConverterStage):
-                for dataspace, events in batch.conv_entries[node.name]:
-                    add(node.name, dataspace,
-                        events * energy(node.component, "convert"))
-            elif isinstance(node, ComputeLevel):
-                for action in node.actions:
-                    per_mac = action.events_per_mac
-                    if isinstance(per_mac, int):
-                        # Scalar computes an exact int product, then one
-                        # int->float conversion at pricing time.
-                        events = np.array(
-                            [float(p * per_mac) for p in batch.padded_macs],
+        for source, name, per_mac, pj, lookup in self._price_terms:
+            if source is _MACS:
+                if isinstance(per_mac, int):
+                    # Scalar computes an exact int product, then one
+                    # int->float conversion at pricing time.
+                    events = np.array(
+                        [float(p * per_mac) for p in batch.padded_macs],
+                        dtype=np.float64)
+                else:
+                    if padded_f is None:
+                        padded_f = np.array(
+                            [float(p) for p in batch.padded_macs],
                             dtype=np.float64)
-                    else:
-                        if padded_f is None:
-                            padded_f = np.array(
-                                [float(p) for p in batch.padded_macs],
-                                dtype=np.float64)
-                        events = padded_f * per_mac
-                    add(action.component, None,
-                        events * energy(action.component, action.action))
+                    events = padded_f * per_mac
+                rows = ((None, events),)
+            elif source is _CONVERTS:
+                rows = batch.conv_entries[name]
+            else:
+                rows = (batch.reads_entries if source is _READS
+                        else batch.writes_entries).get(name, ())
+            for dataspace, events in rows:
+                if pj is None:
+                    pj = energy(*lookup)  # raises
+                add(name, dataspace, events * pj)
         # scaled(groups).total_pj: scale each entry, then left-fold in
         # insertion order (sum() starts at 0; 0.0 + x == x).
         groups = layer.groups
@@ -407,34 +409,54 @@ class AcceleratorModel:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _price(self, counts: AccessCounts) -> EnergyBreakdown:
-        breakdown = EnergyBreakdown()
+    @functools.cached_property
+    def _price_terms(self) -> List[Tuple]:
+        """``(source, name, events_per_mac, pj, (component, action))`` per
+        priced action in node order, built on first use: a snapshot of the
+        energy table (see the class docstring).  ``source`` names the
+        counts priced: a level's reads or writes, a converter's events, or
+        a compute action's padded MACs (``name`` is then its component).
+        ``pj`` is ``None`` for an action the table lacks, looked up (and
+        raised) only when the counts use it, as a node walk would."""
+        terms = []
+
+        def term(source, name, component, action, per_mac=None):
+            pj = self.energy_table.entry(component) \
+                .energy_per_action_pj.get(action)
+            terms.append((source, name, per_mac, pj, (component, action)))
+
         for node in self.architecture.nodes:
             if isinstance(node, StorageLevel):
-                storage_counts = counts.storage[node.name]
-                for dataspace, reads in storage_counts.reads.items():
-                    breakdown.add(
-                        node.name, dataspace,
-                        reads * self.energy_table.energy(node.component,
-                                                         "read"))
-                for dataspace, writes in storage_counts.writes.items():
-                    breakdown.add(
-                        node.name, dataspace,
-                        writes * self.energy_table.energy(node.component,
-                                                          "write"))
+                term(_READS, node.name, node.component, "read")
+                term(_WRITES, node.name, node.component, "write")
             elif isinstance(node, ConverterStage):
-                for dataspace, events in counts.conversions[node.name].items():
-                    breakdown.add(
-                        node.name, dataspace,
-                        events * self.energy_table.energy(node.component,
-                                                          "convert"))
+                term(_CONVERTS, node.name, node.component, "convert")
             elif isinstance(node, ComputeLevel):
                 for action in node.actions:
-                    events = counts.padded_macs * action.events_per_mac
-                    breakdown.add(
-                        action.component, None,
-                        events * self.energy_table.energy(action.component,
-                                                          action.action))
+                    term(_MACS, action.component, action.component,
+                         action.action, action.events_per_mac)
+        return terms
+
+    def _price(self, counts: AccessCounts) -> EnergyBreakdown:
+        """Per-action energies of ``counts``: one
+        :meth:`EnergyBreakdown.add` per (term, dataspace), in
+        :attr:`_price_terms` order, so entry order, every float and the
+        negative-energy check match a walk of the nodes."""
+        breakdown = EnergyBreakdown()
+        add = breakdown.add
+        for source, name, per_mac, pj, lookup in self._price_terms:
+            if source is _MACS:
+                events = ((None, counts.padded_macs * per_mac),)
+            elif source is _CONVERTS:
+                events = counts.conversions[name].items()
+            else:
+                level = counts.storage[name]
+                events = (level.reads if source is _READS
+                          else level.writes).items()
+            for dataspace, value in events:
+                if pj is None:
+                    pj = self.energy_table.energy(*lookup)  # raises
+                add(name, dataspace, value * pj)
         return breakdown
 
     def _apply_dram_elision(

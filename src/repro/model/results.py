@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
@@ -191,21 +192,34 @@ class NetworkTotals(NamedTuple):
 
     @classmethod
     def of(cls, layers: Iterable[LayerTotals]) -> "NetworkTotals":
-        """Sum the layers in one pass.
-
-        Each key accumulates ``value * count`` layer by layer, in each
-        layer's entry order: exactly the sum of the layers'
+        """Sum the layers: each key's total is ``value * count`` added
+        layer by layer, in layer order, exactly the sum of the layers'
         ``energy.scaled(count)`` breakdowns.  Float addition is not
-        associative, so every form of an evaluation (objects or dicts)
-        must sum in this one order to stay bit-identical.
+        associative, so every form of an evaluation sums through here.
+
+        Two passes over dense vectors: key slots by first appearance
+        across the distinct entries dicts, then one vector per (dict,
+        count) added per layer, so copies of one shape-keyed entry share
+        theirs.  A key a layer lacks adds ``+0.0``, which changes no bit,
+        as a sum from ``+0.0`` is never ``-0.0``.
         """
-        energy: Dict[EnergyKey, float] = {}
-        cycles = macs = 0
-        for entries, layer_cycles, layer_macs, count in layers:
-            for key, value in entries.items():
-                energy[key] = energy.get(key, 0.0) + value * count
-            cycles += layer_cycles * count
-            macs += layer_macs * count
+        layers = list(layers)
+        slots: Dict[EnergyKey, int] = {}
+        for entries in {id(layer[0]): layer[0] for layer in layers}.values():
+            for key in entries:
+                slots.setdefault(key, len(slots))
+        vectors: Dict[Tuple[int, int], List[float]] = {}
+        sums = [0.0] * len(slots)
+        for entries, _cycles, _macs, count in layers:
+            vector = vectors.get((id(entries), count))
+            if vector is None:
+                vector = vectors[id(entries), count] = [0.0] * len(slots)
+                for key, value in entries.items():
+                    vector[slots[key]] = value * count
+            sums = list(map(operator.add, sums, vector))
+        energy = dict(zip(slots, sums))
+        cycles = sum(layer[1] * layer[3] for layer in layers)
+        macs = sum(layer[2] * layer[3] for layer in layers)
         return cls(energy, sum(energy.values()), cycles, macs)
 
 

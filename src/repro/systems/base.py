@@ -323,7 +323,8 @@ class PhotonicSystem(abc.ABC):
                     shared[key] = analyzed
             for mapping, counts in analyzed:
                 if counts is not None:
-                    cost = self.model.price(target, counts).energy_pj
+                    cost = self.model._price(counts).scaled(
+                        target.groups).total_pj
                     if cost < best_cost:
                         best, best_cost = (mapping, counts), cost
         if best is None:

@@ -22,6 +22,7 @@ from repro.arch import (
 )
 from repro.exceptions import MappingError
 from repro.mapping import Mapper, MappingConstraints
+from repro.mapping.analysis import HAVE_NUMPY
 from repro.mapping.constraints import FanoutConstraint, StorageConstraint
 from repro.mapping.mapper import _materialize
 from repro.mapping.mapping import Mapping, problem_dims
@@ -141,6 +142,7 @@ def albireo():
     return AlbireoSystem(AlbireoConfig())
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="batched pricing needs numpy")
 class TestMaterializeOnlyWinner:
     def _search(self, system, layer, monkeypatch):
         target = system.analysis_layer(layer)

@@ -260,6 +260,16 @@ class TestCache:
         assert stats == {"searches": 1, "evaluated": 10, "valid": 7,
                          "deduplicated": 3, "pruned_early": 2}
 
+    def test_malformed_mapper_entry_raises_in_search_stats(self):
+        """Every counter is read directly, as ``load_mapper_result``
+        reads it: an entry missing one is an error, not a zero."""
+        cache = EvaluationCache()
+        cache.put("mappings", "cfg/bad", {
+            "mapping": {}, "cost": 1.0, "evaluated": 4,
+            "deduplicated": 0, "pruned_early": 0})
+        with pytest.raises(KeyError, match="valid"):
+            cache.mapper_search_stats()
+
     def test_corrupt_or_foreign_image_starts_fresh(self, tmp_path):
         """A stray whole-image ``cache.json`` is ignored and left in
         place, whatever its format."""

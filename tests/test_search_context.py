@@ -14,7 +14,12 @@ import pytest
 
 from repro.exceptions import CapacityError, MappingError
 from repro.mapping import Mapper
-from repro.mapping.analysis import NestAnalyzer, SearchContext, analyze
+from repro.mapping.analysis import (
+    HAVE_NUMPY,
+    NestAnalyzer,
+    SearchContext,
+    analyze,
+)
 from repro.mapping.mapping import (
     FanoutMapping,
     LevelMapping,
@@ -136,6 +141,7 @@ class TestEarlyCapacityCheck:
 
 
 class TestValidateOnceProtocol:
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="batched pricing needs numpy")
     def test_candidates_validated_exactly_once(self, system, monkeypatch):
         """With a batch-pricing cost fn, each candidate is checked once.
 

@@ -404,11 +404,32 @@ class TestCacheCli:
         image = tmp_path / "cache.json"
         image.write_text(json.dumps(
             {"version": 1, "entries": {"results": {_key("r"): {"v": 1}}}}))
-        assert main(["cache", "stats", str(tmp_path), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["total_entries"] == 0
         assert EvaluationCache(str(tmp_path)).get("results", _key("r")) \
             is None
+        assert main(["cache", "stats", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total_entries"] == 0
         assert json.loads(image.read_text())["version"] == 1
         with pytest.raises(SystemExit) as exit_info:
             main(["cache", "migrate", str(tmp_path)])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("action", ["stats", "gc"])
+    def test_missing_store_fails_and_creates_nothing(self, tmp_path,
+                                                     capsys, action):
+        """A mistyped directory, or one that holds no store (here only a
+        stray ``cache.json``), is an error, not an empty cache made on
+        the spot."""
+        from repro.cli import main
+
+        missing = tmp_path / "typo-dir"
+        assert main(["cache", action, str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(missing) in err
+        assert not missing.exists()
+        holder = tmp_path / "old-cache"
+        holder.mkdir()
+        (holder / "cache.json").write_text("{}")
+        assert main(["cache", action, str(holder), "--json"]) == 2
+        assert str(holder) in capsys.readouterr().err
+        assert sorted(os.listdir(holder)) == ["cache.json"]
