@@ -14,10 +14,12 @@ Every miss goes one way: lookup → plan → run tasks → assemble.
   process pool in configuration-affine batches (one system build per
   configuration, one result message per batch).
 * **Assemble.**  Each :class:`~repro.model.results.NetworkEvaluation` is
-  built in the parent from the now-warm cache: the job's result dict
-  embeds its cached layer dicts verbatim, and decoding it sums only the
-  network totals — the per-layer objects are built only if a caller
-  reads ``layers``.
+  built in the parent from the warm cache as soon as the entries it
+  reads are there: in-process right after the job's own tasks, pooled
+  inside the merge of the batch that lands the job's last entry, while
+  the workers run the rest.  The job's result dict embeds its cached
+  layer dicts verbatim, and decoding it sums only the network totals —
+  the per-layer objects are built only if a caller reads ``layers``.
 
 The two ways of running tasks give bit-identical results (see
 ``tests/test_system_contract.py``): sub-results ship as JSON dicts whose
@@ -39,11 +41,13 @@ tracer and the worker messages carry no extra payload.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -67,10 +71,13 @@ from repro.model.results import NetworkEvaluation
 #: failure policy).  Invoked exactly once per job — the moment its
 #: result slot is filled (cache hit, in-process or pooled assembly,
 #: quarantine, final failure) — in completion order, which is not
-#: necessarily input order.  This is
-#: the streaming seam: callers can forward each record while the rest
-#: of the batch is still computing.  An exception raised by the
-#: callback aborts the run (the cooperative-cancellation lever).
+#: necessarily input order: a pooled run streams a job as the batch
+#: holding its last entry lands, in index order among the jobs that
+#: batch completes.  This is the streaming seam: callers can forward
+#: each record while the rest of the batch is still computing.  An
+#: exception raised by the callback aborts the run (the
+#: cooperative-cancellation lever); on a pool it also closes the pool,
+#: so no further batch starts.
 OnRecordFn = Callable[
     [int, EvaluationJob, Union["NetworkEvaluation", "JobFailure"]], None]
 
@@ -184,8 +191,9 @@ def run_jobs(
     job and no cache entry covers, the tasks run, and the job is
     assembled from the entries they leave.  ``workers=1`` (or a single
     miss) runs each job's tasks in-process when its turn comes, so
-    records stream in job order; ``workers>1`` plans every miss first
-    and runs the tasks over a process pool.  Both give bit-identical
+    records stream in job order; ``workers>1`` plans every miss first,
+    runs the tasks over a process pool and assembles each job as soon
+    as the batch holding its last entry lands.  Both give bit-identical
     results.  ``cache`` may be an :class:`EvaluationCache`, a directory
     path (opened as a sharded store inside it — see
     :mod:`repro.engine.store` — safe to share between concurrent
@@ -213,7 +221,7 @@ def run_jobs(
     job as its outcome slot is assembled — cache hits during lookup,
     in-process or pooled assembly, quarantine pre-skips, and finalized
     failures alike — so callers can stream results out while later
-    jobs are still running.
+    jobs are still running, on the pool as in-process.
 
     Tasks run in-process share this call's memo of reference counts
     (see :mod:`repro.systems.base`); no cache sees it.  Pool workers
@@ -354,8 +362,9 @@ def _execute_round(
     Plans the misses into sub-tasks, runs them, and assembles each job
     from the entries they leave in ``cache``.  With several workers and
     several misses the whole round is planned first and its tasks run
-    on the pool; otherwise each job is planned, run and assembled in
-    turn, in-process, so its record streams before the next job starts.
+    on the pool, and each job is assembled as soon as the last entry it
+    waits on lands; otherwise each job is planned, run and assembled in
+    turn, in-process.  Either way a record streams before the round ends.
     Under a capturing guard, a failing job lands in ``round_failures``
     as ``index -> (error type, message)`` instead of raising; successful
     jobs fill ``results`` and fire ``on_record`` (failures do not — they
@@ -365,9 +374,9 @@ def _execute_round(
     fault_plan = (faults.FaultPlan.from_wire(guard[2])
                   if guard is not None else None)
     recipes: Dict[Tuple, Tuple[List, List]] = {}
+    failed: Dict[str, Tuple[str, str]] = {}
 
-    def finish(index: int, systems: Dict[str, Any],
-               failed: Dict[str, Tuple[str, str]]) -> None:
+    def finish(index: int, systems: Dict[str, Any]) -> None:
         job = jobs[index]
         try:
             # Job-level injected faults (``...:job`` keys) fire here, on
@@ -394,21 +403,43 @@ def _execute_round(
     if workers > 1 and len(misses) > 1:
         sweep_plan = build_plan([jobs[index] for index in misses], cache,
                                 workers)
-        failed = _execute_phase1(sweep_plan, cache, workers, pool=pool,
-                                 guard=guard, attempt=attempt)
-        # Phase 2: every sub-result is now warm — assembling the network
-        # evaluations is pure cache lookups, done in the parent so
-        # nothing is shipped twice.
-        with obs.span("run_jobs.assemble", jobs=len(misses)):
-            for index in misses:
-                finish(index, sweep_plan.systems, failed)
+        # A job is assembled in the parent (pure cache lookups, so
+        # nothing is shipped twice) once every layer entry it waits on
+        # has landed or failed: inside the merge of the batch that
+        # completes it, while the workers run the rest.
+        pending = dict(zip(misses, sweep_plan.waits))
+        waiting: Dict[str, List[int]] = {}
+        for index, keys in pending.items():
+            for key in keys:
+                waiting.setdefault(key, []).append(index)
+
+        def assemble(indices: List[int]) -> None:
+            if indices:
+                with obs.span("run_jobs.assemble", jobs=len(indices)):
+                    for index in indices:
+                        finish(index, sweep_plan.systems)
+
+        def landed(keys: Iterable[str]) -> None:
+            ready = []
+            for key in keys:
+                for index in waiting.pop(key, ()):
+                    pending[index].discard(key)
+                    if not pending[index]:
+                        ready.append(index)
+            assemble(sorted(ready))
+
+        assemble([index for index in misses if not pending[index]])
+        _execute_phase1(sweep_plan, cache, workers, failed, landed,
+                        pool=pool, guard=guard, attempt=attempt)
+        # An entry planned but never stored leaves its jobs waiting;
+        # assembly names it.
+        assemble([index for index in misses if pending[index]])
         return
 
     # In-process: one planner for the round, so a task planned (or
     # failed) for an earlier job is neither run nor retried for a later
     # one; its systems, one per configuration, share the run's memo.
     planner = Planner(cache, counts_memo)
-    failed = {}
     task_guard = None if guard is None else (guard[0], capture, fault_plan)
     with obs.span("run_jobs.serial", jobs=len(misses)):
         try:
@@ -426,7 +457,7 @@ def _execute_round(
                                              str(error))
                     continue
                 with obs.span("run_jobs.assemble", jobs=1):
-                    finish(index, planner.systems, failed)
+                    finish(index, planner.systems)
         finally:
             planner.report()
 
@@ -536,10 +567,12 @@ def _execute_phase1(
     sweep_plan: SweepPlan,
     cache: EvaluationCache,
     workers: int,
+    failed_entries: Dict[str, Tuple[str, str]],
+    landed: Callable[[Iterable[str]], None],
     pool: Optional[WorkerPool] = None,
     guard=None,
     attempt: int = 0,
-) -> Dict[str, Tuple[str, str]]:
+) -> None:
     """Run the plan's unique sub-tasks over a pool; merge results.
 
     With a caller-supplied :class:`WorkerPool` the workers (and their
@@ -547,14 +580,16 @@ def _execute_phase1(
     most one worker per batch is spun up and torn down here.
 
     ``guard``/``attempt`` ship the failure-policy/fault-injection
-    context to the workers.  Returns the failed-entry map (store entry
-    key -> ``(error type, message)``) collected from the workers —
-    empty when nothing failed or the guard isn't capturing.  Worker
-    respawns the pool performed during this dispatch are folded into
-    the cache's resilience counters.
+    context to the workers.  Each batch's failed entries (store entry
+    key -> ``(error type, message)``, only under a capturing guard) go
+    into ``failed_entries``; then ``landed`` gets the keys of the
+    batch's new layer entries and failed entries, after the merge.  An
+    exception from ``landed`` abandons the dispatch, which closes the
+    pool (see :meth:`WorkerPool.run_batches`).  Worker respawns the
+    pool performed during this dispatch are folded into the cache's
+    resilience counters.
     """
     tracer = obs.current_tracer()
-    failed_entries: Dict[str, Tuple[str, str]] = {}
     if sweep_plan.batches:
         with obs.span("executor.phase1", batches=len(sweep_plan.batches),
                       tasks=sweep_plan.phase1_tasks):
@@ -564,6 +599,7 @@ def _execute_phase1(
             if owned:
                 pool = WorkerPool(min(workers, len(sweep_plan.batches)))
             respawns_before = pool.stats.respawns
+            stream = None
             try:
                 # The dispatch span's *self* time is the parent-side
                 # pickle/submit/decode overhead; the blocking receive is
@@ -589,9 +625,12 @@ def _execute_phase1(
                             if failed:
                                 failed_entries.update(failed)
                         dispatch.add("messages")
+                        landed(itertools.chain(added.get("layers", ()),
+                                               failed))
             finally:
+                if stream is not None:
+                    stream.close()  # an abandoned dispatch closes the pool
                 cache.resilience.respawns += (pool.stats.respawns
                                               - respawns_before)
                 if owned:
                     pool.close()
-    return failed_entries

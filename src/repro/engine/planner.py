@@ -29,7 +29,9 @@ configurations that differ only in clock or scenario ride in one batch,
 whose worker analyzes their reference candidates once and prices them
 per configuration, as an in-process run does.  Reassembling
 whole-network evaluations from the warmed cache is cheap and runs in
-the parent (:func:`repro.engine.executor.run_jobs`).
+the parent (:func:`repro.engine.executor.run_jobs`): the plan records
+which planned layer entries each job waits on
+(:attr:`SweepPlan.waits`), so a job is assembled as soon as they land.
 
 Planning never changes what is computed, only where and how often:
 in-process and pooled results are bit-identical, and whole-job cache
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro import obs
 from repro.engine.cache import EvaluationCache, store_entry_key
@@ -92,7 +94,10 @@ class SweepPlan:
     are oversized.
 
     ``systems`` maps each planned job's ``system_key`` to the system the
-    planner built for it, which assembly reuses.
+    planner built for it, which assembly reuses.  ``waits`` holds, per
+    planned job in input order, the layer entry keys it reads that the
+    cache lacked at plan time: the job can be assembled once each of
+    them has landed or failed.
     """
 
     batches: List[List[TaskChunk]]
@@ -100,6 +105,7 @@ class SweepPlan:
     deduplicated: int = 0
     cache_hits: int = 0
     systems: Dict[str, Any] = field(default_factory=dict)
+    waits: List[Set[str]] = field(default_factory=list)
 
     @property
     def chunks(self) -> List[TaskChunk]:
@@ -123,7 +129,9 @@ class Planner:
     ``counts_memo`` (the run's reference counts; see
     :mod:`repro.systems.base`).  It serves keys, geometry and expansion
     here, runs the configuration's tasks in-process, and assembles its
-    jobs.  The pool path's parent only plans and assembles with it.
+    jobs.  The pool path's parent only plans and assembles with it, so
+    it builds that system's energy table and model only to check a
+    fused job's buffer capacity.
     """
 
     def __init__(self, cache: EvaluationCache, counts_memo: Dict) -> None:
@@ -132,7 +140,12 @@ class Planner:
         self.planned = self.deduplicated = self.cache_hits = self.tasks = 0
         #: system_key -> the configuration's system.
         self.systems: Dict[str, Any] = {}
-        self._seen: set = set()  # entry keys already planned or cached
+        #: Per expanded job: the layer entry keys it reads that the cache
+        #: lacked at plan time (planned by it or by an earlier job).
+        self.waits: List[Set[str]] = []
+        # Entry keys already planned or cached -> whether the key is a
+        # layer entry planned this round (one a job's assembly waits on).
+        self._seen: Dict[str, bool] = {}
         # (system class, network identity, fused, use_mapper) ->
         # [(task, store key), ...].  Systems declaring their task keys
         # configuration-free (all built-ins) expand each network once per
@@ -162,16 +175,23 @@ class Planner:
                           system_key=system_key)
         cache = self.cache
         seen = self._seen
+        waits: Set[str] = set()
         for task, store_key in expansion:
             self.planned += 1
             entry_key = store_entry_key(system_key, store_key)
-            if entry_key in seen:
+            planned = seen.get(entry_key)
+            if planned is not None:
                 self.deduplicated += 1
+                if planned:
+                    waits.add(entry_key)
                 continue
-            seen.add(entry_key)
             if cache.contains(_TASK_NAMESPACE[task.kind], entry_key):
+                seen[entry_key] = False
                 self.cache_hits += 1
                 continue
+            seen[entry_key] = task.kind == "layer"
+            if seen[entry_key]:
+                waits.add(entry_key)
             if task.kind == "mapper":
                 cluster = ("search", entry_key)
             elif task.use_mapper:
@@ -187,6 +207,7 @@ class Planner:
             chunk.tasks.append(task)
             chunk.clusters.append(cluster)
         self.tasks += len(chunk.tasks)
+        self.waits.append(waits)
         return chunk
 
     def report(self, batches: int = 0) -> None:
@@ -229,7 +250,7 @@ def build_plan(jobs: Sequence[EvaluationJob],
         plan = SweepPlan(batches=batches, planned=planner.planned,
                          deduplicated=planner.deduplicated,
                          cache_hits=planner.cache_hits,
-                         systems=planner.systems)
+                         systems=planner.systems, waits=planner.waits)
         planner.report(len(batches))
         for counter in ("planned", "deduplicated", "cache_hits",
                         "phase1_tasks"):

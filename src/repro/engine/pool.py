@@ -305,6 +305,11 @@ class WorkerPool:
         """Dispatch planner batches; yield ``(index, added, stats,
         trace_events, failed_keys)`` as each answers (completion order).
 
+        The executor holds at most one batch per worker.  A worker that
+        answers is handed the next batch before its reply is yielded, so
+        the workers keep computing while the caller merges the reply and
+        assembles the jobs it completes.
+
         A batch whose worker died raises ``BrokenProcessPool`` and stays
         pending: the pool respawns and re-submits it with the attempt
         number bumped, so deterministic fault-injection plans don't
@@ -318,7 +323,9 @@ class WorkerPool:
 
         Any exception raised while results are in flight — including a
         ``KeyboardInterrupt`` or the consumer abandoning the iterator —
-        closes the pool (:meth:`close`) before propagating.
+        closes the pool (:meth:`close`) before propagating: running
+        batches finish, the backlog is dropped, and the next dispatch
+        respawns.
         """
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
@@ -337,15 +344,24 @@ class WorkerPool:
                             attempt + respawns)
                            for index, chunks in pending.items()]
                 running: set = set()
-                while backlog or running:
+
+                def refill() -> None:
                     # One batch per worker at a time: none waits in the
-                    # executor's queue, so close() waits only for running ones.
+                    # executor's queue, so close() waits only for running
+                    # ones.
+                    nonlocal backlog
                     try:
                         while backlog and len(running) < self._size:
                             running.add(self._submit(backlog.pop(0)))
                     except BrokenProcessPool:
                         backlog = []  # a worker died: respawn below
+
+                refill()
+                while running:
                     done, running = wait(running, return_when=FIRST_COMPLETED)
+                    # Freed workers take their next batch before the
+                    # caller sees a reply, so they compute while it merges.
+                    refill()
                     for future in done:
                         try:
                             reply = future.result()

@@ -210,18 +210,19 @@ class AcceleratorModel:
         Participates in the mapper's shared-context protocol: when the
         search passes its :class:`SearchContext`, the candidate has been
         validated once already and analysis reuses the context's memoized
-        geometry.
+        geometry.  A candidate's cost is
+        ``evaluate_layer(...).energy_pj``, summed without building the
+        :class:`LayerEvaluation`.
         """
+        groups = layer.groups
 
         def cost(mapping: Mapping,
                  context: Optional[SearchContext] = None) -> float:
-            return self.evaluate_layer(
-                layer, mapping,
-                input_from_dram=input_from_dram,
-                output_to_dram=output_to_dram,
-                context=context,
-                validated=context is not None,
-            ).energy_pj
+            counts = self._apply_dram_elision(
+                self.counts(layer, mapping, context=context,
+                            validated=context is not None),
+                layer, input_from_dram, output_to_dram)
+            return self._price(counts).scaled(groups).total_pj
 
         cost.supports_context = True
         if input_from_dram and output_to_dram and HAVE_NUMPY:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,6 +25,15 @@ from repro.workloads.layer import ConvLayer
 
 #: Key of one energy entry: (component instance name, dataspace or None).
 EnergyKey = Tuple[str, Optional[DataSpace]]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added one by one, left to right, from ``0``: what
+    ``sum()`` computes before Python 3.12.  Since 3.12 ``sum()`` of
+    floats is compensated, which changes totals in their last bits, so
+    every energy total goes through here to give the same bits on every
+    interpreter."""
+    return functools.reduce(operator.add, values, 0)
 
 
 class EnergyBreakdown:
@@ -74,18 +84,18 @@ class EnergyBreakdown:
     # ------------------------------------------------------------------
     @property
     def total_pj(self) -> float:
-        return sum(self._entries.values())
+        return ordered_sum(self._entries.values())
 
     def entries(self) -> Dict[EnergyKey, float]:
         return dict(self._entries)
 
     def component_total(self, component: str) -> float:
-        return sum(value for (name, _), value in self._entries.items()
-                   if name == component)
+        return ordered_sum(value for (name, _), value
+                           in self._entries.items() if name == component)
 
     def dataspace_total(self, dataspace: Optional[DataSpace]) -> float:
-        return sum(value for (_, ds), value in self._entries.items()
-                   if ds == dataspace)
+        return ordered_sum(value for (_, ds), value
+                           in self._entries.items() if ds == dataspace)
 
     def grouped(self, scheme: BucketScheme) -> Dict[str, float]:
         """Sum entries into the scheme's buckets, in display order."""
@@ -220,7 +230,7 @@ class NetworkTotals(NamedTuple):
         energy = dict(zip(slots, sums))
         cycles = sum(layer[1] * layer[3] for layer in layers)
         macs = sum(layer[2] * layer[3] for layer in layers)
-        return cls(energy, sum(energy.values()), cycles, macs)
+        return cls(energy, ordered_sum(energy.values()), cycles, macs)
 
 
 @dataclass(frozen=True)

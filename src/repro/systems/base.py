@@ -172,6 +172,12 @@ class PhotonicSystem(abc.ABC):
     Every subclass inherits the seam; registering a system (see
     :mod:`repro.systems.registry`) is all it takes to join warmed-cache
     parallel sweeps.
+
+    The architecture is built with the system; :attr:`energy_table` and
+    :attr:`model` are built on first use.  Keys, geometry and sub-task
+    expansion read only the architecture, so a pooled run's parent,
+    which plans and assembles, builds neither unless it checks a fused
+    job's buffer capacity.
     """
 
     #: Registry tag; set by subclasses (matches the registry entry name).
@@ -195,11 +201,20 @@ class PhotonicSystem(abc.ABC):
         self.store = store
         self.architecture: Architecture = build_cached(
             type(self).build_architecture, self.config)
-        self.energy_table: EnergyTable = build_cached(
-            type(self).build_energy_table, self.config)
-        self.model = AcceleratorModel(self.architecture, self.energy_table)
         #: Layer shape -> (reference winner, its counts or None).
         self._mapping_cache: Dict[Tuple, Tuple] = {}
+
+    @functools.cached_property
+    def energy_table(self) -> EnergyTable:
+        """The configuration's component pricing, built on first use."""
+        return build_cached(type(self).build_energy_table, self.config)
+
+    @functools.cached_property
+    def model(self) -> AcceleratorModel:
+        """The architecture priced by :attr:`energy_table`, built on first
+        use; a table that lacks a component raises
+        :class:`~repro.exceptions.SpecError` here, before any number."""
+        return AcceleratorModel(self.architecture, self.energy_table)
 
     # ------------------------------------------------------------------
     # Subclass hooks

@@ -916,13 +916,14 @@ class TestOnRecordSeam:
         assert all(outcome is results[index]
                    for index, _, outcome in calls)
 
-    def test_failures_fire_with_job_failure_outcome(self):
+    def test_failures_fire_with_job_failure_outcome(self, workers=1):
         from repro.engine import FailurePolicy, JobFailure
 
         jobs = self._jobs()
         calls = []
         results = run_jobs(
-            jobs, failure_policy=FailurePolicy(on_error="skip"),
+            jobs, workers=workers,
+            failure_policy=FailurePolicy(on_error="skip"),
             inject=[{"match": "crossbar:*:job", "action": "raise",
                      "attempt": -1}],
             on_record=lambda index, job, outcome:
@@ -932,14 +933,17 @@ class TestOnRecordSeam:
                    for _, outcome in calls)
         assert all(outcome is results[index] for index, outcome in calls)
 
-    def test_retry_fires_only_on_the_final_outcome(self):
+    def test_pooled_failures_fire_with_job_failure_outcome(self):
+        self.test_failures_fire_with_job_failure_outcome(workers=2)
+
+    def test_retry_fires_only_on_the_final_outcome(self, workers=1):
         """Under retry, intermediate failed attempts do not stream; the
         single call per job carries the eventually-successful result."""
         from repro.engine import FailurePolicy, JobFailure
 
         calls = []
         results = run_jobs(
-            self._jobs(),
+            self._jobs(), workers=workers,
             failure_policy=FailurePolicy(on_error="retry",
                                          max_retries=2, backoff=0.0),
             inject=[{"match": "crossbar:*:job", "action": "raise",
@@ -951,6 +955,9 @@ class TestOnRecordSeam:
                        for _, outcome in calls)
         assert all(outcome is results[index] for index, outcome in calls)
 
+    def test_pooled_retry_fires_only_on_the_final_outcome(self):
+        self.test_retry_fires_only_on_the_final_outcome(workers=2)
+
     def test_on_record_exception_aborts_the_run(self):
         class StopStreaming(RuntimeError):
             pass
@@ -960,3 +967,176 @@ class TestOnRecordSeam:
 
         with pytest.raises(StopStreaming):
             run_jobs(self._jobs(), on_record=explode)
+
+
+class TestPooledStreaming:
+    """A pooled round assembles and streams each job as soon as every
+    layer entry it reads has landed, while the workers run the rest."""
+
+    @staticmethod
+    def _four_geometry_jobs():
+        # Four geometries: the planner packs them into four batches.
+        return [make_job(tiny_cnn(), config) for config in _small_configs()]
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        """Counts the parent's merges of batch replies."""
+        merged = []
+        merge = EvaluationCache.merge
+
+        def counting(cache, entries):
+            merged.append(len(entries.get("layers", ())))
+            return merge(cache, entries)
+
+        monkeypatch.setattr(EvaluationCache, "merge", counting)
+        return merged
+
+    def test_first_record_streams_before_the_last_batch_lands(self, merges):
+        jobs = self._four_geometry_jobs()
+        batches = len(build_plan(jobs, EvaluationCache(), workers=2).batches)
+        assert batches >= 3
+        merged_at_first = []
+        results = run_jobs(jobs, workers=2, cache=EvaluationCache(),
+                           on_record=lambda index, job, outcome:
+                           merged_at_first or
+                           merged_at_first.append(len(merges)))
+        assert len(merges) == batches
+        assert 1 <= merged_at_first[0] < batches
+        for pooled, serial in zip(results, run_jobs(jobs)):
+            assert _evaluations_identical(pooled, serial)
+
+    def test_split_configuration_streams_each_job_once_when_complete(
+            self, merges):
+        """One ``use_mapper`` configuration cut over several batches: each
+        job streams exactly once, after every layer entry its assembly
+        reads has landed in the cache."""
+        from repro.api import Study
+        from repro.engine.cache import store_entry_key
+        from repro.engine.executor import _assembly_recipe
+
+        jobs = (Study().systems("crossbar").networks("lenet5", "tiny")
+                .options(use_mapper=True).compile())
+        plan = build_plan(jobs, EvaluationCache(), workers=2)
+        assert len({chunk.system_key for chunk in plan.chunks}) == 1
+        assert len(plan.batches) > 1
+        reads = []
+        for job in jobs:
+            system_key = job_system_key(job)
+            store_keys, _steps = _assembly_recipe(
+                plan.systems[system_key], job)
+            reads.append({store_entry_key(system_key, key)
+                          for key in store_keys})
+
+        cache = EvaluationCache()
+        streamed = []
+
+        def on_record(index, job, outcome):
+            missing = {key for key in reads[index]
+                       if not cache.contains("layers", key)}
+            streamed.append((index, missing, len(merges)))
+
+        results = run_jobs(jobs, workers=2, cache=cache, on_record=on_record)
+        assert sorted(index for index, _, _ in streamed) == [0, 1]
+        assert all(not missing for _, missing, _ in streamed)
+        assert len(merges) == len(plan.batches)
+        for pooled, serial in zip(results, run_jobs(jobs)):
+            assert _evaluations_identical(pooled, serial)
+
+    def test_on_record_error_mid_dispatch_closes_a_kept_pool(self, merges):
+        """The error propagates, the dispatch it abandons closes the
+        pool (running batches finish, nothing else starts), and the kept
+        pool respawns for the next run."""
+        import multiprocessing
+
+        from repro.engine import WorkerPool
+
+        class StopStreaming(RuntimeError):
+            pass
+
+        merged_at_error = []
+
+        def explode(index, job, outcome):
+            merged_at_error.append(len(merges))
+            raise StopStreaming("caller cancelled")
+
+        jobs = self._four_geometry_jobs()
+        with WorkerPool(workers=2) as pool:
+            # Holding the error keeps the abandoned dispatch referenced
+            # (through its traceback): the pool must close regardless.
+            with pytest.raises(StopStreaming) as caught:
+                run_jobs(jobs, cache=EvaluationCache(), pool=pool,
+                         on_record=explode)
+            assert caught.value.__traceback__ is not None
+            assert merged_at_error[0] < len(
+                build_plan(jobs, EvaluationCache(), workers=2).batches)
+            assert not pool.active
+            assert not multiprocessing.active_children()
+            results = run_jobs(jobs, cache=EvaluationCache(), pool=pool)
+            assert pool.stats.spawns == 2
+        for pooled, serial in zip(results, run_jobs(jobs)):
+            assert _evaluations_identical(pooled, serial)
+
+
+def _unpriced_energy_table(config):
+    """Albireo's table without the first component its architecture
+    prices."""
+    from repro.energy.table import EnergyTable
+
+    missing = AlbireoSystem.build_architecture(config).component_names()[0]
+    return EnergyTable(entry for entry
+                       in AlbireoSystem.build_energy_table(config)
+                       if entry.component != missing)
+
+
+class _UnpricedSystem(AlbireoSystem):
+    name = "unpriced"
+    config_type = _FailingConfig
+    build_energy_table = staticmethod(_unpriced_energy_table)
+
+
+@pytest.fixture
+def unpriced_system():
+    yield from _registered(_UnpricedSystem,
+                           "test-only system whose table lacks a component")
+
+
+class TestModelFreeParent:
+    """A pooled run's parent plans and assembles from architectures
+    alone: it builds no energy table and no model."""
+
+    def test_pooled_parent_builds_no_energy_table(self, monkeypatch):
+        from repro.api import Study
+        from repro.systems import base
+
+        built = []
+        build_cached = base.build_cached
+
+        def counting(builder, config):
+            built.append(builder.__name__)
+            return build_cached(builder, config)
+
+        monkeypatch.setattr(base, "build_cached", counting)
+        jobs = (Study().systems("albireo", "crossbar", "wdm_delay")
+                .networks("tiny").grid(global_buffer_kib=(512, 1024))
+                .compile())
+        pooled = run_jobs(jobs, workers=2, cache=EvaluationCache())
+        assert not [name for name in built if "energy_table" in name]
+        serial = run_jobs(jobs)
+        assert [name for name in built if "energy_table" in name]
+        for a, b in zip(pooled, serial):
+            assert _evaluations_identical(a, b)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_table_missing_a_component_raises_before_any_number(
+            self, small_network, unpriced_system, workers):
+        from repro.exceptions import SpecError
+
+        system = _UnpricedSystem(_FailingConfig())
+        with pytest.raises(SpecError, match="energy table lacks entries"):
+            system.evaluate_layer(small_network.entries[0].layer)
+        jobs = [make_job(small_network, _FailingConfig(clusters=clusters),
+                         system="unpriced") for clusters in (4, 8)]
+        cache = EvaluationCache()
+        with pytest.raises(SpecError, match="energy table lacks entries"):
+            run_jobs(jobs, workers=workers, cache=cache)
+        assert cache.size("layers") == cache.size("results") == 0

@@ -1,6 +1,7 @@
 """Tests for energy breakdowns and evaluation result containers."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.model.results import (
     EnergyBreakdown,
     LayerEvaluation,
     NetworkEvaluation,
+    NetworkTotals,
 )
 from repro.workloads import ConvLayer, DataSpace
 
@@ -86,6 +88,43 @@ class TestEnergyBreakdown:
         assert _breakdown() == _breakdown()
         assert _breakdown() != _breakdown().scaled(2.0)
         assert _breakdown() != "not a breakdown"
+
+
+class TestOrderedTotals:
+    """Energy totals add left to right from 0, as ``sum()`` did before
+    Python 3.12, whose ``sum()`` of floats is compensated: a record has
+    the same bits on every interpreter."""
+
+    #: 1.0 absorbs each 1e-16 alone, but not their sum.
+    VALUES = (1.0, 1e-16, 1e-16)
+
+    @staticmethod
+    def _left_fold(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    def test_the_values_tell_compensated_from_naive_sums(self):
+        assert self._left_fold(self.VALUES) == 1.0
+        assert math.fsum(self.VALUES) > 1.0
+
+    def test_breakdown_totals_fold_left(self):
+        expected = self._left_fold(self.VALUES).hex()
+        breakdown = EnergyBreakdown(dict(zip(
+            [("dac", W), ("dac", I), ("dac", O)], self.VALUES)))
+        assert breakdown.total_pj.hex() == expected
+        assert breakdown.component_total("dac").hex() == expected
+        by_dataspace = EnergyBreakdown(dict(zip(
+            [("adc", W), ("dac", W), ("laser", W)], self.VALUES)))
+        assert by_dataspace.dataspace_total(W).hex() == expected
+
+    def test_network_totals_fold_left(self):
+        layers = [({("dac", W): 1.0}, 1, 1, 1),
+                  ({("adc", W): 1e-16}, 1, 1, 1),
+                  ({("laser", None): 1e-16}, 1, 1, 1)]
+        assert NetworkTotals.of(layers).energy_pj.hex() \
+            == self._left_fold(self.VALUES).hex()
 
 
 class TestValueEquality:

@@ -37,7 +37,8 @@ from repro.workloads.models import network_by_name, network_names
 
 def naive_totals(layers):
     """The keyed fold: each key accumulates ``value * count`` in layer
-    order, starting from ``0.0``."""
+    order, starting from ``0.0``; the total adds the keys left to right
+    from ``0``, as ``sum()`` did before Python 3.12."""
     energy = {}
     cycles = macs = 0
     for entries, layer_cycles, layer_macs, count in layers:
@@ -45,7 +46,10 @@ def naive_totals(layers):
             energy[key] = energy.get(key, 0.0) + value * count
         cycles += layer_cycles * count
         macs += layer_macs * count
-    return energy, sum(energy.values()), cycles, macs
+    total = 0
+    for value in energy.values():
+        total += value
+    return energy, total, cycles, macs
 
 
 def bits(value):
@@ -215,6 +219,61 @@ def test_selection_and_term_walk_match_the_node_walk(system_name):
                 if len(candidates) > 1:
                     assert system.reference_mapping(layer) == best
     assert priced > 100
+
+
+@pytest.mark.parametrize("system_name", system_names())
+def test_scalar_mapper_cost_is_the_evaluated_energy(system_name):
+    """The mapper's scalar cost (the path without numpy) prices every
+    candidate of a search to ``evaluate_layer(...).energy_pj``, bit for
+    bit, with both DRAM flags on and with both elided, and rejects the
+    candidates ``evaluate_layer`` rejects with the same error."""
+    from repro.mapping import Mapper
+
+    system = get_system(system_name).system_type()
+    model = system.model
+    layer = network_by_name("lenet5").entries[1].layer
+    target = system.analysis_layer(layer)
+    for flags in ((True, True), (False, False)):
+        scalar = model.energy_cost_fn(target, *flags)
+        priced = []
+
+        def checked(mapping, context=None):
+            try:
+                expected = model.evaluate_layer(
+                    target, mapping, *flags, context=context,
+                    validated=context is not None).energy_pj
+            except MappingError as error:
+                with pytest.raises(type(error)) as caught:
+                    scalar(mapping, context)
+                assert str(caught.value) == str(error)
+                raise
+            cost = scalar(mapping, context)
+            assert bits(cost) == bits(expected)
+            priced.append(cost)
+            return cost
+
+        checked.supports_context = True
+        Mapper(system.architecture, checked,
+               constraints=system.constraints(target)).search(
+            target, max_evaluations=150,
+            extra_candidates=(system.reference_mapping(layer),))
+        assert len(priced) > 10
+
+
+def test_scalar_mapper_cost_builds_no_layer_evaluation(monkeypatch):
+    from repro.model import accelerator
+
+    system = get_system("crossbar").system_type()
+    layer = network_by_name("lenet5").entries[1].layer
+    mapping = system.reference_mapping(layer)
+    expected = system.model.evaluate_layer(layer, mapping).energy_pj
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scalar cost built a LayerEvaluation")
+
+    monkeypatch.setattr(accelerator, "LayerEvaluation", refuse)
+    cost = system.model.energy_cost_fn(layer)(mapping)
+    assert bits(cost) == bits(expected)
 
 
 class TestMissingActions:
